@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmiter.errors import ConfigError, DegenerateComplementError
 from kmiter.iterations import build_factors, fixed_point
 from kmiter.problems import Elliptic, Parabolic, elliptic_dt_solution_at
 from kmiter.regularization import (
+    CutoffSelection,
     NoiseSpec,
     RegularizerPlan,
     SourceCondition,
@@ -26,6 +29,7 @@ from kmiter.spectral import (
     from_coeffs,
     make_custom_spectrum,
     make_sine_spectrum_1d,
+    make_sine_spectrum_rect,
     norm_s,
     scale_weights,
     sub,
@@ -244,6 +248,41 @@ class TestErrorBoundCurve:
         assert pt.bound == 0.0
         assert pt.retained == fac.model.n_modes
 
+    def test_retained_zero_complement_bound_is_inf_without_noise(self):
+        # sech(800)^2 underflows to exactly 0, so full retention has no
+        # fixed point; with eps_prime = 0 the bound must still read inf,
+        # not 0 * inf = nan
+        m = make_custom_spectrum([1.0, 2.0, 3.0, 800.0])
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=zeros(m)))
+        source = SourceCondition(M=1.0, G=lambda lam: lam, s=-0.5)
+        plan = RegularizerPlan(n=1.0, eps_prime=0.0, source=source)
+        (pt,) = error_bound_curve(plan, fac, candidates=[1000.0])
+        assert pt.retained == 4
+        assert pt.amplification == math.inf
+        assert pt.bound == math.inf
+
+    def test_candidates_must_be_positive(self):
+        plan, fac, _ = _elliptic_plan()
+        for bad in ([], [0.0], [-1.0, 2.0], [1.0, math.nan]):
+            with pytest.raises(ConfigError):
+                error_bound_curve(plan, fac, candidates=bad)
+            with pytest.raises(ConfigError):
+                select_n_star(plan, fac, candidates=bad)
+
+    def test_source_weight_checked_where_modes_are_dropped(self):
+        m = make_custom_spectrum([1.0, 2.0])
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=zeros(m)))
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            src = SourceCondition(M=1.0, G=lambda lam, bad=bad: 1.0 if lam < 1.2 else bad, s=0.0)
+            plan = RegularizerPlan(n=1.0, eps_prime=0.0, source=src)
+            with pytest.raises(ConfigError, match=r"G\(1\.5\)"):
+                error_bound_curve(plan, fac, candidates=[0.5, 1.5, 3.0])
+            with pytest.raises(ConfigError, match=r"G\(1\.5\)"):
+                select_n_star(plan, fac, candidates=[0.5, 1.5, 3.0])
+            # full retention never evaluates G
+            (pt,) = error_bound_curve(plan, fac, candidates=[3.0])
+            assert pt.tail_bound == 0.0
+
     def test_monotone_ingredients(self):
         plan, fac, phibar = _elliptic_plan()
         curve = error_bound_curve(plan, fac, phibar_reference=phibar)
@@ -341,5 +380,138 @@ class TestSourceHelpers:
             RegularizerPlan(n=0.0, eps_prime=0.0, source=src)
         with pytest.raises(ConfigError):
             RegularizerPlan(n=1.0, eps_prime=-1.0, source=src)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                RegularizerPlan(n=1.0, eps_prime=bad, source=src)
         with pytest.raises(ConfigError):
             SourceCondition(M=-1.0, G=lambda lam: lam, s=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass bound curve against a per-candidate reference
+
+
+def _reference_curve(plan, fac, reference, grid):
+    """Per-candidate evaluation: O(N) work and one fixed point per cutoff."""
+    lam, comp = fac.model.eigenvalues, fac.complements
+    rows = []
+    for n in grid.tolist():
+        retained = lam <= n
+        k = int(np.count_nonzero(retained))
+        tail = plan.source.M / float(plan.source.G(n)) if k < lam.size else 0.0
+        if not k:
+            amp = 1.0
+        elif np.any(comp[retained] == 0.0):
+            amp = math.inf
+        else:
+            with np.errstate(divide="ignore", over="ignore"):
+                amp = max(1.0, float(np.max(1.0 / comp[retained])))
+        bound = math.inf if amp == math.inf else tail + plan.eps_prime * amp
+        try:
+            phi = regularized_fixed_point(fac, fac.z, n)
+            err = norm_s(phi - reference, plan.source.s)
+        except DegenerateComplementError:
+            err = math.inf
+        lam_max = float(lam[retained][-1]) if k else None
+        rows.append((float(n), k, lam_max, tail, amp, bound, err))
+    return rows
+
+
+def _reference_selection(grid, bounds):
+    best = None
+    for i, b in enumerate(bounds):
+        if not math.isnan(b) and (best is None or b < bounds[best]):
+            best = i
+    return CutoffSelection(n_star=float(grid[best]), bound_at_star=bounds[best], index=best)
+
+
+@st.composite
+def _spectra(draw):
+    kind = draw(st.sampled_from(["sine1d", "rect", "custom"]))
+    if kind == "sine1d":
+        return make_sine_spectrum_1d(draw(st.integers(1, 40)), draw(st.sampled_from([0.5, 1.0])))
+    if kind == "rect":
+        lx = draw(st.sampled_from([1.0, 2.0]))
+        ly = draw(st.sampled_from([1.0, 2.0, 1.5]))  # lx == ly gives exact ties
+        return make_sine_spectrum_rect(draw(st.integers(1, 6)), draw(st.integers(1, 6)), lx, ly)
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 7.0]), min_size=1, max_size=30))
+    return make_custom_spectrum(1.0 + np.cumsum(gaps))  # zero gaps are exact ties
+
+
+@st.composite
+def _candidate_grids(draw, model):
+    lam = model.eigenvalues
+    picks = draw(st.lists(st.integers(0, lam.size - 1), min_size=1, max_size=12))
+    shift = st.sampled_from([-1.0, 0.0, 1.0, 0.5])
+    grid = []
+    for j in picks:
+        how = draw(shift)
+        if how == 0.5:
+            grid.append(0.5 * float(lam[j]))
+        else:  # the eigenvalue itself, or the next float below or above it
+            grid.append(float(np.nextafter(lam[j], lam[j] + how)) if how else float(lam[j]))
+    return grid
+
+
+class TestOnePassCurveMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        model=_spectra(),
+        family=st.sampled_from(["elliptic", "parabolic"]),
+        gamma=st.sampled_from([1.0, 1.8]),
+        reach=st.sampled_from([0.5, 5.0, 40.0, 380.0, 600.0]),
+        eps_prime=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+        M=st.sampled_from([0.0, 1e-3, 1.0, 50.0]),
+        q=st.sampled_from([0.5, 1.0, 2.0]),
+        s=st.sampled_from([-0.5, 0.0, 0.5]),
+        custom_grid=st.booleans(),
+        near_reference=st.booleans(),
+    )
+    def test_matches_per_candidate_loop(
+        self, data, model, family, gamma, reach, eps_prime, M, q, s, custom_grid,
+        near_reference,
+    ):
+        # reach = T * lambda_max; at 600 the elliptic complements sech^2
+        # underflow (subnormal, then exactly zero) at the top of the spectrum;
+        # parabolic gamma > 1 puts complements above 1, below the floor
+        lam_max = model.lambda_max
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        g = from_coeffs(model, rng.standard_normal(model.n_modes))
+        if family == "elliptic":
+            spec = Elliptic(T=reach / lam_max, f=zeros(model), g=g)
+        else:
+            spec = Parabolic(T=reach / lam_max**2, f=g, gamma=gamma)
+        fac = build_factors(spec)
+        reference = from_coeffs(model, rng.standard_normal(model.n_modes))
+        if near_reference:
+            # a trace decaying over 12 decades and a z whose fixed point is
+            # that trace up to 1e-9: the measured error is then tiny next to
+            # the leading terms of its sums, where cancellation would show
+            trace = rng.standard_normal(model.n_modes) * np.logspace(0, -12, model.n_modes)
+            noisy = trace + 1e-9 * rng.standard_normal(model.n_modes)
+            reference = from_coeffs(model, trace)
+            fac = dataclasses.replace(fac, z=from_coeffs(model, fac.complements * noisy))
+        source = SourceCondition(M=M, G=power_source_function(q), s=s)
+        plan = RegularizerPlan(n=1.0, eps_prime=eps_prime, source=source)
+        grid = candidate_cutoffs(model)
+        candidates = None
+        if custom_grid:
+            candidates = data.draw(_candidate_grids(model))
+            grid = np.sort(np.asarray(candidates))
+
+        curve = error_bound_curve(plan, fac, phibar_reference=reference, candidates=candidates)
+        want = _reference_curve(plan, fac, reference, grid)
+        assert [
+            (p.n, p.retained, p.lambda_retained_max, p.tail_bound, p.amplification, p.bound)
+            for p in curve
+        ] == [row[:6] for row in want]
+        got_err = np.array([p.true_error for p in curve])
+        want_err = np.array([row[6] for row in want])
+        np.testing.assert_array_equal(np.isinf(got_err), np.isinf(want_err))
+        fin = np.isfinite(want_err)
+        assert np.all(np.abs(got_err[fin] - want_err[fin]) <= 1e-13 * want_err[fin])
+
+        sel = select_n_star(plan, fac, candidates=candidates)
+        assert sel == _reference_selection(grid, [row[5] for row in want])
+        assert sel.bound_at_star == curve[sel.index].bound
