@@ -8,6 +8,30 @@ separate branches because they map to different process exit codes.
 
 from __future__ import annotations
 
+SHOWN_POSITIONS = 8
+
+
+def describe_modes(positions, eigenvalues=None) -> str:
+    """Name mode positions in an error message, in bounded size.
+
+    Up to ``SHOWN_POSITIONS`` positions are listed in full.  Beyond that the
+    text gives their count, their range and the first ``SHOWN_POSITIONS``.
+    With ``eigenvalues`` (indexed by position) the listed positions'
+    eigenvalues follow.  The errors keep every position on ``mode_indices``.
+    """
+    pos = [int(i) for i in positions]
+    shown = pos[:SHOWN_POSITIONS]
+    if len(pos) <= SHOWN_POSITIONS:
+        text = f"mode positions {shown}"
+    else:
+        text = (
+            f"{len(pos)} mode positions in [{min(pos)}, {max(pos)}], "
+            f"first {SHOWN_POSITIONS}: {shown}"
+        )
+    if eigenvalues is not None:
+        text += f" (eigenvalues {[float(eigenvalues[i]) for i in shown]})"
+    return text
+
 
 class KmiterError(Exception):
     """Base class for all errors raised by this package."""

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateComplementError, ModeOverflowError
+from .errors import ConfigError, DegenerateComplementError, ModeOverflowError, describe_modes
 from .problems import Elliptic, Hyperbolic, Parabolic, ProblemSpec
 from .spectral import SpectralVec, SpectrumModel, scale_weights
 
@@ -249,7 +249,7 @@ def fixed_point(fac: IterationFactors) -> SpectralVec:
     degenerate = np.flatnonzero(comp == 0.0)
     if degenerate.size:
         raise DegenerateComplementError(
-            f"1 - F is exactly zero at mode positions {degenerate.tolist()}; "
+            f"1 - F is exactly zero at {describe_modes(degenerate)}; "
             "the fixed point does not exist there (consider a spectral cutoff "
             "below those modes)",
             mode_indices=tuple(degenerate.tolist()),
@@ -259,7 +259,7 @@ def fixed_point(fac: IterationFactors) -> SpectralVec:
     bad = np.flatnonzero(~np.isfinite(c) | (np.abs(c) > 1e300))
     if bad.size:
         raise ModeOverflowError(
-            f"fixed point exceeds the 1e300 overflow guard at mode positions {bad.tolist()}",
+            f"fixed point exceeds the 1e300 overflow guard at {describe_modes(bad)}",
             mode_indices=tuple(bad.tolist()),
         )
     return SpectralVec(c, fac.model)

@@ -30,7 +30,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ModeOverflowError, ResonanceError
+from .errors import ConfigError, ModeOverflowError, ResonanceError, describe_modes
 from .spectral import SpectralVec, SpectrumModel, norm_s, unit_mode
 
 __all__ = [
@@ -63,8 +63,8 @@ def _guard_overflow(coeffs: np.ndarray, what: str) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(coeffs) | (np.abs(coeffs) > OVERFLOW_LIMIT))
     if bad.size:
         raise ModeOverflowError(
-            f"{what} exceeds the {OVERFLOW_LIMIT:.0e} overflow guard at mode "
-            f"positions {bad.tolist()}",
+            f"{what} exceeds the {OVERFLOW_LIMIT:.0e} overflow guard at "
+            f"{describe_modes(bad)}",
             mode_indices=tuple(bad.tolist()),
         )
     return coeffs
@@ -124,10 +124,9 @@ class Hyperbolic:
         sines = np.sin(self.model.eigenvalues * self.T)
         bad = np.flatnonzero(np.abs(sines) <= self.resonance_tol)
         if bad.size:
-            lam = self.model.eigenvalues[bad]
             raise ResonanceError(
-                f"|sin(lambda T)| <= {self.resonance_tol:g} at mode positions "
-                f"{bad.tolist()} (eigenvalues {lam.tolist()}); the problem is "
+                f"|sin(lambda T)| <= {self.resonance_tol:g} at "
+                f"{describe_modes(bad, self.model.eigenvalues)}; the problem is "
                 "posed too close to a resonant time",
                 mode_indices=tuple(bad.tolist()),
             )
@@ -177,6 +176,15 @@ ProblemSpec = Elliptic | Hyperbolic | Parabolic
 # closed-form traces
 
 
+def _times_datum(multiplier: np.ndarray, datum: np.ndarray) -> np.ndarray:
+    """``multiplier * datum`` per mode, keeping a zero datum (and its sign).
+
+    A mode the datum does not touch has a zero term, not an inf * 0
+    artifact; only modes with actual content can overflow.
+    """
+    return np.where(datum == 0.0, datum, multiplier * datum)
+
+
 def _check_time(spec, t: float) -> float:
     t = float(t)
     if not (0.0 <= t <= spec.T):
@@ -188,10 +196,12 @@ def elliptic_solution_at(spec: Elliptic, t: float) -> SpectralVec:
     """u(t) = cosh(At) f + sinh(At) A^{-1} g, evaluated per mode."""
     t = _check_time(spec, t)
     lam = spec.model.eigenvalues
-    # inf * 0 products are possible right before the guard fires; both the
-    # overflow and the resulting nan are reported by _guard_overflow.
+    # overflow is reported by _guard_overflow; the inf * 0 products that
+    # _times_datum discards need not warn either
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.cosh(lam * t) * spec.f.coeffs + np.sinh(lam * t) / lam * spec.g.coeffs
+        c = _times_datum(np.cosh(lam * t), spec.f.coeffs) + _times_datum(
+            np.sinh(lam * t) / lam, spec.g.coeffs
+        )
     return SpectralVec(_guard_overflow(c, "elliptic solution"), spec.model)
 
 
@@ -200,7 +210,9 @@ def elliptic_dt_solution_at(spec: Elliptic, t: float) -> SpectralVec:
     t = _check_time(spec, t)
     lam = spec.model.eigenvalues
     with np.errstate(over="ignore", invalid="ignore"):
-        c = lam * np.sinh(lam * t) * spec.f.coeffs + np.cosh(lam * t) * spec.g.coeffs
+        c = _times_datum(lam * np.sinh(lam * t), spec.f.coeffs) + _times_datum(
+            np.cosh(lam * t), spec.g.coeffs
+        )
     return SpectralVec(_guard_overflow(c, "elliptic time derivative"), spec.model)
 
 

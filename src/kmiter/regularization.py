@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateComplementError
+from .errors import ConfigError, DegenerateComplementError, describe_modes
 from .iterations import IterationFactors
 from .spectral import SpectralVec, SpectrumModel, norm_s, scale_weights, sub
 
@@ -232,7 +232,7 @@ def regularized_fixed_point(fac: IterationFactors, z_eps: SpectralVec, n: float)
     degenerate = np.flatnonzero(retained & (fac.complements == 0.0))
     if degenerate.size:
         raise DegenerateComplementError(
-            f"cutoff n = {n:g} retains modes {degenerate.tolist()} whose "
+            f"cutoff n = {n:g} retains {describe_modes(degenerate)} whose "
             "complement 1 - F is exactly zero; lower the cutoff below them",
             mode_indices=tuple(degenerate.tolist()),
         )

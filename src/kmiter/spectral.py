@@ -23,7 +23,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, ModelMismatchError
+from .errors import ConfigError, EvaluationError, ModelMismatchError, describe_modes
 
 __all__ = [
     "Sine1D",
@@ -353,8 +353,8 @@ def apply_spectral_function(
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise EvaluationError(
-            f"spectral function returned non-finite values at mode positions "
-            f"{bad.tolist()} (eigenvalues {lam[bad].tolist()})",
+            f"spectral function returned non-finite values at "
+            f"{describe_modes(bad, lam)}",
             mode_indices=tuple(bad.tolist()),
         )
     return SpectralVec(vals * v.coeffs, model)

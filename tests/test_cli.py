@@ -234,6 +234,15 @@ class TestTableCommands:
             oracles.TANH_PI_200, rel=1e-5
         )
 
+    @pytest.mark.parametrize(
+        "argv", [("table2", "--modes", "256"), ("elliptic", "--modes", "300")]
+    )
+    def test_modes_past_cosh_overflow_without_data(self, capsys, argv):
+        # the data touch mode 1 only; cosh(lambda_j) overflows from j = 227 on
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert "nan" not in out.lower()
+
     def test_table1_markdown(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--modes", "8")
         assert code == EXIT_OK

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmiter.errors import ConfigError
 from kmiter.gridio import (
@@ -14,6 +15,7 @@ from kmiter.gridio import (
     write_grid_csv,
 )
 from kmiter.spectral import (
+    Sine1D,
     from_coeffs,
     make_custom_spectrum,
     make_sine_spectrum_1d,
@@ -241,3 +243,103 @@ class TestSynthData:
         m = make_sine_spectrum_1d(3, 1.0)
         with pytest.raises(ConfigError):
             synth_data("unit_mode", m, k=1, flavor="spicy")
+
+
+# ---------------------------------------------------------------------------
+# reference: the dense (points x modes) sine-matrix quadrature and rendering
+
+
+def dense_sine_matrix(a, length, n):
+    j = np.arange(1, n + 1)
+    return math.sqrt(2.0 / length) * np.sin(np.outer(a, j * (math.pi / length)))
+
+
+def dense_ingest(gf, m):
+    b = m.basis
+    if gf.ndim == 1:
+        x = gf.axes[0]
+        return np.trapezoid(gf.values[:, None] * dense_sine_matrix(x, b.length, m.n_modes), x, axis=0)
+    x, y = gf.axes
+    bx = np.trapezoid(gf.values[:, :, None] * dense_sine_matrix(x, b.lx, b.nx)[:, None, :], x, axis=0)
+    table = np.trapezoid(bx[:, :, None] * dense_sine_matrix(y, b.ly, b.ny)[:, None, :], y, axis=0)
+    return np.array([table[j - 1, k - 1] for (j, k) in m.mode_index_map])
+
+
+def dense_render(v, gf):
+    m, b = v.model, v.model.basis
+    if gf.ndim == 1:
+        return dense_sine_matrix(gf.axes[0], b.length, m.n_modes) @ v.coeffs
+    table = np.zeros((b.nx, b.ny))
+    for c, (j, k) in zip(v.coeffs, m.mode_index_map):
+        table[j - 1, k - 1] = c
+    bx = dense_sine_matrix(gf.axes[0], b.lx, b.nx)
+    by = dense_sine_matrix(gf.axes[1], b.ly, b.ny)
+    return bx @ table @ by.T
+
+
+@st.composite
+def sine_models(draw):
+    length = draw(st.sampled_from([1.0, 2.5, math.pi]))
+    if draw(st.booleans()):
+        return make_sine_spectrum_1d(draw(st.integers(1, 40)), length)
+    nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return make_sine_spectrum_rect(nx, ny, length, draw(st.sampled_from([1.0, 0.5, 3.0])))
+
+
+def axis_counts(m):
+    return (m.n_modes,) if isinstance(m.basis, Sine1D) else (m.basis.nx, m.basis.ny)
+
+
+def axis_lengths(m):
+    return (m.basis.length,) if isinstance(m.basis, Sine1D) else (m.basis.lx, m.basis.ly)
+
+
+class TestAgainstDenseQuadrature:
+    @given(sine_models(), st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_ingest(self, m, data, seed):
+        # samples at the Nyquist guard 2n + 1 (odd), one above (even), or
+        # well above, with boundary samples up to the trace tolerance
+        rng = np.random.default_rng(seed)
+        axes = []
+        for n, length in zip(axis_counts(m), axis_lengths(m)):
+            extra = data.draw(st.one_of(st.just(0), st.just(1), st.integers(2, 300)))
+            axes.append(np.linspace(0.0, length, 2 * n + 1 + extra))
+        vals = rng.standard_normal(tuple(a.size for a in axes))
+        for axis in range(vals.ndim):
+            ends = np.moveaxis(vals, axis, 0)
+            ends[[0, -1]] = rng.uniform(-1e-12, 1e-12, ends[[0, -1]].shape)
+        gf = make_grid_function(axes, vals)
+        want = dense_ingest(gf, m)
+        got = ingest_grid(gf, m).coeffs
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @given(sine_models(), st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_render(self, m, data, seed):
+        # p - 1 < n folds modes onto their aliases on the grid
+        n = data.draw(st.sampled_from(axis_counts(m)))
+        p = data.draw(st.sampled_from([p for p in (2, 3, n, n + 1, n + 2) if p >= 2] + [None]))
+        v = from_coeffs(m, np.random.default_rng(seed).standard_normal(m.n_modes))
+        gf = render_grid(v, points_per_axis=p)
+        want = dense_render(v, gf)
+        # the dense matrix leaves sin(j pi) rounding at x = L, where the DST is exact
+        assert np.max(np.abs(gf.values - want)) <= 1e-12 * np.sum(np.abs(v.coeffs))
+
+
+class TestExactRoundTrip:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            make_sine_spectrum_1d(1, 1.0),
+            make_sine_spectrum_1d(8, 2.5),
+            make_sine_spectrum_1d(1024, 1.0),
+            make_sine_spectrum_rect(16, 5, 1.0, 2.0),
+        ],
+        ids=["n1", "n8", "n1024", "rect16x5"],
+    )
+    def test_ingest_inverts_render(self, m):
+        # DST-I is orthogonal on the grid, so only rounding separates them
+        v = from_coeffs(m, np.random.default_rng(m.n_modes).standard_normal(m.n_modes))
+        back = ingest_grid(render_grid(v), m).coeffs
+        assert np.linalg.norm(back - v.coeffs) <= 1e-12 * np.linalg.norm(v.coeffs)

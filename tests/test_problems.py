@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kmiter.errors import ConfigError, ModeOverflowError, ResonanceError
+from kmiter.errors import ConfigError, ModeOverflowError, ResonanceError, describe_modes
 from kmiter.problems import (
     Elliptic,
     Hyperbolic,
@@ -87,6 +87,38 @@ class TestEllipticTraces:
         with pytest.raises(ModeOverflowError) as err:
             elliptic_solution_at(p, 1.0)
         assert err.value.mode_indices == (0,)
+
+    def test_untouched_modes_stay_zero_where_cosh_overflows(self):
+        # cosh(lambda_j) overflows from j = 227 on, lambda_j sinh(lambda_j) from
+        # j = 225; a mode without data has a zero trace there, not inf * 0 = nan
+        m = sine_model(300)
+        p = Elliptic(T=1.0, f=zeros(m), g=unit_mode(m, 1))
+        du = elliptic_dt_solution_at(p, 1.0).coeffs
+        assert du[0] == pytest.approx(oracles.COSH_PI, rel=1e-13)
+        np.testing.assert_array_equal(du[1:], 0.0)
+        u = elliptic_solution_at(p, 1.0).coeffs
+        assert u[0] * math.pi == pytest.approx(oracles.PI_SINH_PI / math.pi, rel=1e-13)
+        np.testing.assert_array_equal(u[1:], 0.0)
+
+    def test_zero_data_keep_their_sign(self):
+        m = sine_model(300)
+        neg = from_coeffs(m, np.full(300, -0.0))
+        p = Elliptic(T=1.0, f=neg, g=neg)
+        for t in (0.0, 1.0):
+            for trace in (elliptic_solution_at(p, t), elliptic_dt_solution_at(p, t)):
+                np.testing.assert_array_equal(trace.coeffs, 0.0)
+                assert np.all(np.signbit(trace.coeffs))
+
+    def test_mode_with_data_still_overflows(self):
+        m = sine_model(300)
+        p = Elliptic(T=1.0, f=zeros(m), g=unit_mode(m, 300))
+        with pytest.raises(ModeOverflowError) as err:
+            elliptic_dt_solution_at(p, 1.0)
+        assert err.value.mode_indices == (299,)
+        p = Elliptic(T=1.0, f=unit_mode(m, 250), g=zeros(m))
+        with pytest.raises(ModeOverflowError) as err:
+            elliptic_solution_at(p, 1.0)
+        assert err.value.mode_indices == (249,)
 
 
 class TestHyperbolicTraces:
@@ -180,6 +212,37 @@ class TestParabolicTraces:
         m = sine_model()
         with pytest.raises(ConfigError):
             parabolic_solution_at(zeros(m), -0.1)
+
+
+class TestBoundedRefusals:
+    def test_overflow_message_at_2048_modes(self):
+        # exp(lambda^2 T) overflows on every mode: the message stays short,
+        # the error still carries every position
+        m = sine_model(2048)
+        p = Parabolic(T=100.0, f=from_coeffs(m, np.ones(2048)))
+        with pytest.raises(ModeOverflowError) as err:
+            parabolic_backward_trace(p)
+        assert err.value.mode_indices == tuple(range(2048))
+        msg = str(err.value)
+        assert len(msg) < 300
+        assert "2048 mode positions in [0, 2047], first 8: [0, 1, 2, 3, 4, 5, 6, 7]" in msg
+
+    def test_resonance_message_lists_shown_eigenvalues_only(self):
+        # lambda_j T = j pi: every sine mode is resonant at T = 1
+        m = sine_model(1000)
+        with pytest.raises(ResonanceError) as err:
+            Hyperbolic(T=1.0, f=zeros(m), g=zeros(m))
+        assert err.value.mode_indices == tuple(range(1000))
+        assert len(str(err.value)) < 500
+
+    def test_few_positions_listed_in_full(self):
+        assert describe_modes([3, 5]) == "mode positions [3, 5]"
+        assert describe_modes(np.array([1]), [10.0, 20.0]) == (
+            "mode positions [1] (eigenvalues [20.0])"
+        )
+        assert describe_modes(range(2, 11)) == (
+            "9 mode positions in [2, 10], first 8: [2, 3, 4, 5, 6, 7, 8, 9]"
+        )
 
 
 class TestTrajectoryNorms:
