@@ -25,7 +25,7 @@ import json
 import math
 import os
 import tempfile
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -90,7 +90,7 @@ __all__ = [
     "render_report",
     "report_to_dict",
     "report_from_dict",
-    "emit_table",
+    "render_rows",
     "render_table",
     "atomic_write_text",
 ]
@@ -289,11 +289,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     model = build_model(cfg.spectrum)
     kind = cfg.problem["kind"]
-    f = resolve_source(cfg.problem["f"], model)
+    f_src = cfg.problem["f"]
+    u0 = None
+    terminal = isinstance(f_src, dict) and f_src.get("generator") == "parabolic_terminal"
+    if kind == "parabolic" and terminal:
+        u0 = f_src.get("u0")
+        if isinstance(u0, dict):
+            u0 = resolve_source(u0, model)
+            f_src = {**f_src, "u0": u0}
+    f = resolve_source(f_src, model)
     g = resolve_source(cfg.problem["g"], model) if kind != "parabolic" else None
 
     clean_spec = _build_problem(cfg.problem, model, f, g)
-    reference = _oracle_reference(clean_spec)
+    # A terminal datum made from a known u0 over the problem's own horizon has
+    # u0 as its exact trace; rebuilding it through exp(+lambda^2 T) would
+    # overflow on modes where the datum underflowed.
+    if u0 is not None and float(f_src["T"]) / float(f_src.get("a2", 1.0)) == clean_spec.T:
+        reference = u0
+    else:
+        reference = _oracle_reference(clean_spec)
 
     if cfg.noise is not None:
         eps = float(cfg.noise["eps"])
@@ -514,34 +528,63 @@ def _fmt(x: Optional[float]) -> str:
     return f"{x:.6g}"
 
 
+def render_rows(
+    fmt: str,
+    columns,
+    rows,
+    payload: Callable[[], object],
+    *,
+    title: Optional[str] = None,
+    notes=(),
+    csv_notes=(),
+    md_rows=None,
+) -> str:
+    """Render one table of formatted cells as CSV, JSON, or markdown text.
+
+    ``columns`` holds one ``(csv name, markdown name, markdown rule)`` triple
+    per column, the rule being ``---:``, ``---`` or ``:---:``.  ``rows`` are
+    sequences of cell strings; ``md_rows``, when given, replaces them in
+    markdown.  Markdown puts ``title`` above the table and ``notes`` below
+    it; CSV appends ``csv_notes`` as extra lines.  JSON prints
+    ``payload()``, which is called for that format only.  An unknown format
+    raises :class:`ConfigError`.
+    """
+    if fmt == "json":
+        return json.dumps(payload(), indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(c[0] for c in columns)]
+        lines += [",".join(row) for row in rows]
+        lines += csv_notes
+    elif fmt == "markdown":
+        def line(cells):
+            return "| " + " | ".join(cells) + " |"
+
+        lines = [] if title is None else [title, ""]
+        lines += [line(c[1] for c in columns), line(c[2] for c in columns)]
+        lines += [line(row) for row in (rows if md_rows is None else md_rows)]
+        if notes:
+            lines += ["", *notes]
+    else:
+        raise ConfigError(f"unknown report format {fmt!r}")
+    return "\n".join(lines) + "\n"
+
+
+REPORT_COLUMNS = tuple(
+    (name, name, "---:") for name in ("k", "rel_error", "successive_diff", "residual")
+)
+
+
 def render_report(report: IterationReport, fmt: str) -> str:
     """Render an IterationReport as CSV, JSON, or markdown text."""
-    if fmt == "csv":
-        lines = ["k,rel_error,successive_diff,residual"]
-        for r in report.records:
-            lines.append(
-                f"{r.k},{_fmt(r.error_vs_reference)},{_fmt(r.successive_diff)},{_fmt(r.residual)}"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps(report_to_dict(report), indent=2) + "\n"
-    if fmt == "markdown":
-        lines = [
-            "| k | rel_error | successive_diff | residual |",
-            "| ---: | ---: | ---: | ---: |",
-        ]
-        for r in report.records:
-            lines.append(
-                f"| {r.k} | {_fmt(r.error_vs_reference)} | "
-                f"{_fmt(r.successive_diff)} | {_fmt(r.residual)} |"
-            )
-        lines.append("")
-        lines.append(
-            f"terminated at k = {report.final_k} ({report.termination_reason}), "
-            f"norm index {report.scale:g}"
-        )
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown report format {fmt!r}")
+    rows = [
+        [str(r.k), _fmt(r.error_vs_reference), _fmt(r.successive_diff), _fmt(r.residual)]
+        for r in report.records
+    ]
+    note = (
+        f"terminated at k = {report.final_k} ({report.termination_reason}), "
+        f"norm index {report.scale:g}"
+    )
+    return render_rows(fmt, REPORT_COLUMNS, rows, lambda: report_to_dict(report), notes=(note,))
 
 
 def _basis_to_dict(basis) -> dict:
@@ -631,32 +674,21 @@ def report_from_dict(d: dict) -> IterationReport:
 
 def render_table(table: TableResult, fmt: str) -> str:
     """Render a TableResult as CSV, JSON, or markdown (errors as percentages)."""
-    if fmt == "csv":
-        lines = ["run," + ",".join(str(c) for c in table.checkpoints)]
-        for label, row in zip(table.row_labels, table.errors):
-            lines.append(label + "," + ",".join(_fmt(e) for e in row))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps(
-            {
-                "title": table.title,
-                "checkpoints": list(table.checkpoints),
-                "rows": [
-                    {"label": label, "rel_errors": list(row)}
-                    for label, row in zip(table.row_labels, table.errors)
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    if fmt == "markdown":
-        header = "| run | " + " | ".join(f"{c} steps" for c in table.checkpoints) + " |"
-        rule = "| --- |" + " ---: |" * len(table.checkpoints)
-        lines = [table.title, "", header, rule]
-        for label, row in zip(table.row_labels, table.errors):
-            cells = " | ".join(f"{100.0 * e:.4g}%" for e in row)
-            lines.append(f"| {label} | {cells} |")
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown table format {fmt!r}")
+    runs = list(zip(table.row_labels, table.errors))
+    columns = [("run", "run", "---")]
+    columns += [(str(c), f"{c} steps", "---:") for c in table.checkpoints]
+    return render_rows(
+        fmt,
+        columns,
+        [[label, *map(_fmt, row)] for label, row in runs],
+        lambda: {
+            "title": table.title,
+            "checkpoints": list(table.checkpoints),
+            "rows": [{"label": label, "rel_errors": list(row)} for label, row in runs],
+        },
+        title=table.title,
+        md_rows=[[label, *(f"{100.0 * e:.4g}%" for e in row)] for label, row in runs],
+    )
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -678,7 +710,3 @@ def atomic_write_text(path, text: str) -> None:
 
 def emit_report(report: IterationReport, fmt: str, path) -> None:
     atomic_write_text(path, render_report(report, fmt))
-
-
-def emit_table(table: TableResult, fmt: str, path) -> None:
-    atomic_write_text(path, render_table(table, fmt))

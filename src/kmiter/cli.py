@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from typing import Optional
@@ -217,59 +216,48 @@ def _cmd_table1(args) -> int:
     return EXIT_OK
 
 
+CUTOFF_COLUMNS = (
+    ("n", "n", "---:"),
+    ("retained", "retained", "---:"),
+    ("tail_bound", "tail bound", "---:"),
+    ("amplification", "amplification", "---:"),
+    ("bound", "bound", "---:"),
+    ("true_error", "measured error", "---:"),
+)
+
+
 def _render_cutoff_study(study, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {
-                "n_star": study.selection.n_star,
-                "bound_at_star": study.selection.bound_at_star,
-                "eps_prime": study.eps_prime,
-                "error_at_star": study.error_at_star,
-                "best_error": study.best_error,
-                "curve": [
-                    {
-                        "n": p.n,
-                        "tail_bound": p.tail_bound,
-                        "amplification": p.amplification,
-                        "bound": p.bound,
-                        "true_error": p.true_error,
-                        "retained": p.retained,
-                    }
-                    for p in study.curve
-                ],
-            },
-            indent=2,
-        ) + "\n"
-    if fmt == "csv":
-        lines = ["n,retained,tail_bound,amplification,bound,true_error"]
-        for p in study.curve:
-            lines.append(
-                f"{p.n:.6g},{p.retained},{p.tail_bound:.6g},"
-                f"{p.amplification:.6g},{p.bound:.6g},{p.true_error:.6g}"
-            )
-        lines.append(f"# n_star={study.selection.n_star:.6g}")
-        lines.append(f"# error_at_star={study.error_at_star:.6g}")
-        lines.append(f"# best_error={study.best_error:.6g}")
-        return "\n".join(lines) + "\n"
-    lines = [
-        "Cutoff study (noisy elliptic reconstruction)",
-        "",
-        "| n | retained | tail bound | amplification | bound | measured error |",
-        "| ---: | ---: | ---: | ---: | ---: | ---: |",
+    sel = study.selection
+    rows = [
+        [f"{p.n:.6g}", str(p.retained)]
+        + [f"{x:.6g}" for x in (p.tail_bound, p.amplification, p.bound, p.true_error)]
+        for p in study.curve
     ]
-    for p in study.curve:
-        lines.append(
-            f"| {p.n:.6g} | {p.retained} | {p.tail_bound:.6g} | "
-            f"{p.amplification:.6g} | {p.bound:.6g} | {p.true_error:.6g} |"
-        )
-    lines.append("")
-    lines.append(
-        f"selected cutoff n* = {study.selection.n_star:.6g} "
-        f"(bound {study.selection.bound_at_star:.6g}, measured error "
-        f"{study.error_at_star:.6g}; best on grid {study.best_error:.6g}; "
-        f"eps' = {study.eps_prime:.6g})"
+    curve_fields = ("n", "tail_bound", "amplification", "bound", "true_error", "retained")
+    return bench.render_rows(
+        fmt,
+        CUTOFF_COLUMNS,
+        rows,
+        lambda: {
+            "n_star": sel.n_star,
+            "bound_at_star": sel.bound_at_star,
+            "eps_prime": study.eps_prime,
+            "error_at_star": study.error_at_star,
+            "best_error": study.best_error,
+            "curve": [{k: getattr(p, k) for k in curve_fields} for p in study.curve],
+        },
+        title="Cutoff study (noisy elliptic reconstruction)",
+        notes=(
+            f"selected cutoff n* = {sel.n_star:.6g} (bound {sel.bound_at_star:.6g}, "
+            f"measured error {study.error_at_star:.6g}; best on grid "
+            f"{study.best_error:.6g}; eps' = {study.eps_prime:.6g})",
+        ),
+        csv_notes=(
+            f"# n_star={sel.n_star:.6g}",
+            f"# error_at_star={study.error_at_star:.6g}",
+            f"# best_error={study.best_error:.6g}",
+        ),
     )
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_regularize(args) -> int:
@@ -282,50 +270,42 @@ def _cmd_regularize(args) -> int:
     return EXIT_OK
 
 
+DEMO_COLUMNS = (
+    ("mode", "mode", "---:"),
+    ("eigenvalue", "eigenvalue", "---:"),
+    ("data_norm", "data norm", "---:"),
+    ("solution_norm", "solution norm", "---:"),
+    ("overflow", "overflow", ":---:"),
+)
+
+
 def _cmd_demo_illposed(args) -> int:
     modes = args.modes if args.modes is not None else 8
     T = 1.0 / math.pi if args.kind == "hyperbolic" else 1.0
     model = make_sine_spectrum_1d(modes, 1.0)
     rows = [illposedness_demo(args.kind, model, T, k) for k in range(1, modes + 1)]
-    fmt = args.format or "markdown"
-    if fmt == "json":
-        text = json.dumps(
-            [
-                {
-                    "mode": r.mode_index,
-                    "eigenvalue": float(model.eigenvalues[r.mode_index - 1]),
-                    "data_norm": r.data_norm,
-                    "solution_norm": r.solution_norm,
-                    "overflow": r.overflow,
-                }
-                for r in rows
-            ],
-            indent=2,
-        ) + "\n"
-    elif fmt == "csv":
-        lines = ["mode,eigenvalue,data_norm,solution_norm,overflow"]
-        for r in rows:
-            lam = model.eigenvalues[r.mode_index - 1]
-            lines.append(
-                f"{r.mode_index},{lam:.6g},{r.data_norm:.6g},"
-                f"{r.solution_norm:.6g},{int(r.overflow)}"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"Unit data perturbation per mode ({args.kind}, T = {T:.6g})",
-            "",
-            "| mode | eigenvalue | data norm | solution norm | overflow |",
-            "| ---: | ---: | ---: | ---: | :---: |",
-        ]
-        for r in rows:
-            lam = model.eigenvalues[r.mode_index - 1]
-            flag = "yes" if r.overflow else ""
-            lines.append(
-                f"| {r.mode_index} | {lam:.6g} | {r.data_norm:.6g} | "
-                f"{r.solution_norm:.6g} | {flag} |"
-            )
-        text = "\n".join(lines) + "\n"
+    lams = [float(model.eigenvalues[r.mode_index - 1]) for r in rows]
+    cells = [
+        [str(r.mode_index), *(f"{x:.6g}" for x in (lam, r.data_norm, r.solution_norm))]
+        for r, lam in zip(rows, lams)
+    ]
+    text = bench.render_rows(
+        args.format or "markdown",
+        DEMO_COLUMNS,
+        [c + [str(int(r.overflow))] for c, r in zip(cells, rows)],
+        lambda: [
+            {
+                "mode": r.mode_index,
+                "eigenvalue": lam,
+                "data_norm": r.data_norm,
+                "solution_norm": r.solution_norm,
+                "overflow": r.overflow,
+            }
+            for r, lam in zip(rows, lams)
+        ],
+        title=f"Unit data perturbation per mode ({args.kind}, T = {T:.6g})",
+        md_rows=[c + ["yes" if r.overflow else ""] for c, r in zip(cells, rows)],
+    )
     _deliver(text, args.out)
     return EXIT_OK
 

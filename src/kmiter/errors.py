@@ -46,35 +46,25 @@ class ModelMismatchError(ConfigError):
 
 
 class NumericError(KmiterError):
-    """A computation left the representable or admissible range."""
+    """A computation left the representable or admissible range.
+
+    Attributes
+    ----------
+    mode_indices : tuple of int
+        Zero-based positions of the offending modes, when the failure has any.
+    """
+
+    def __init__(self, message: str, mode_indices: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.mode_indices = tuple(int(i) for i in mode_indices)
 
 
 class EvaluationError(NumericError):
-    """A spectral function produced a non-finite value.
-
-    Attributes
-    ----------
-    mode_indices : tuple of int
-        Zero-based positions of the offending eigenvalues.
-    """
-
-    def __init__(self, message: str, mode_indices: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.mode_indices = tuple(int(i) for i in mode_indices)
+    """A spectral function produced a non-finite value."""
 
 
 class ModeOverflowError(NumericError):
-    """A per-mode value exceeded the overflow guard (1e300) or was non-finite.
-
-    Attributes
-    ----------
-    mode_indices : tuple of int
-        Zero-based positions of the modes that overflowed.
-    """
-
-    def __init__(self, message: str, mode_indices: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.mode_indices = tuple(int(i) for i in mode_indices)
+    """A per-mode value exceeded the overflow guard (1e300) or was non-finite."""
 
 
 class ResonanceError(NumericError):
@@ -85,10 +75,6 @@ class ResonanceError(NumericError):
     to determine the solution mode.
     """
 
-    def __init__(self, message: str, mode_indices: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.mode_indices = tuple(int(i) for i in mode_indices)
-
 
 class DegenerateComplementError(NumericError):
     """A fixed point was requested where some 1 - F(lambda_j) is exactly zero.
@@ -97,7 +83,3 @@ class DegenerateComplementError(NumericError):
     where the multiplier equals one in floating point; cutoff regularization
     that drops those modes is the supported way around this.
     """
-
-    def __init__(self, message: str, mode_indices: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.mode_indices = tuple(int(i) for i in mode_indices)

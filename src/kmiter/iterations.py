@@ -99,13 +99,6 @@ class IterationFactors:
         return self.z.model
 
 
-def _elliptic_complement(x: np.ndarray) -> np.ndarray:
-    # sech(x)^2 written to stay positive for large x: 4 e^{-2x} / (1+e^{-2x})^2.
-    em = np.exp(-x)
-    sech = 2.0 * em / (1.0 + em * em)
-    return sech * sech
-
-
 def _sech(x: np.ndarray) -> np.ndarray:
     em = np.exp(-x)
     return 2.0 * em / (1.0 + em * em)

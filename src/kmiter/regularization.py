@@ -204,7 +204,10 @@ def source_constant(phibar: SpectralVec, G: Callable[[float], float], s: float) 
     lam = phibar.model.eigenvalues
     g = np.asarray([float(G(x)) for x in lam])
     w = scale_weights(phibar.model, s)
-    return float(np.sqrt(np.sum(w * (g * phibar.coeffs) ** 2)))
+    v = g * phibar.coeffs
+    # the square overflows from |v| ~ 1.3e154 on; a power-of-two scale is exact
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    return float(np.ldexp(np.sqrt(np.sum(w * np.ldexp(v, -e) ** 2)), e))
 
 
 def measure_eps_prime(fac_clean: IterationFactors, fac_noisy: IterationFactors, s: float) -> float:

@@ -18,12 +18,14 @@ from kmiter import (
     load_config,
     make_custom_spectrum,
     make_sine_spectrum_1d,
+    parabolic_backward_trace,
     render_report,
     render_table,
     run_convergence_table,
     run_cutoff_study,
     run_decay_table,
     run_experiment,
+    synth_data,
     unit_mode,
 )
 from kmiter.bench import (
@@ -34,6 +36,7 @@ from kmiter.bench import (
     build_model,
     model_from_dict,
     model_to_dict,
+    render_rows,
     report_from_dict,
     report_to_dict,
     resolve_source,
@@ -345,6 +348,68 @@ class TestRunExperiment:
         )
         np.testing.assert_allclose(result.factors.factors, direct.factors, rtol=0)
 
+    @staticmethod
+    def terminal_config(problem_T, problem_a2, f_T, f_a2, n_modes=6):
+        return load_config(
+            {
+                "problem": {
+                    "kind": "parabolic",
+                    "T": problem_T,
+                    "a2": problem_a2,
+                    "f": {
+                        "generator": "parabolic_terminal",
+                        "u0": {"generator": "piecewise_profile"},
+                        "T": f_T,
+                        "a2": f_a2,
+                    },
+                },
+                "spectrum": {"basis": "sine1d", "n_modes": n_modes},
+                "schedule": {"checkpoints": [10]},
+            }
+        )
+
+    def test_parabolic_terminal_reference_is_known_u0(self):
+        # same horizon T / a2 = 1/32 written two ways: the reference is u0 itself
+        result = run_experiment(self.terminal_config(0.25, 8.0, 0.0625, 2.0))
+        u0 = resolve_source({"generator": "piecewise_profile"}, result.model)
+        np.testing.assert_array_equal(result.reference.coeffs, u0.coeffs)
+
+    def test_parabolic_terminal_other_horizon_uses_backward_trace(self):
+        # the datum ran only half the problem's horizon: u0 is not the trace
+        result = run_experiment(self.terminal_config(0.0625, 1.0, 0.03125, 1.0))
+        u0 = resolve_source({"generator": "piecewise_profile"}, result.model)
+        f = synth_data("parabolic_terminal", result.model, u0=u0, T=0.03125)
+        expected = parabolic_backward_trace(Parabolic(T=0.0625, f=f, gamma=1.0))
+        np.testing.assert_array_equal(result.reference.coeffs, expected.coeffs)
+        assert not np.allclose(result.reference.coeffs, u0.coeffs)
+
+    def test_parabolic_reference_survives_underflowed_datum(self):
+        # exp(-lambda^2 T) u0 is subnormal on the high modes of a 40 x 40
+        # rectangle; rebuilding u0 from it overflowed the guard
+        cfg = load_config(
+            {
+                "problem": {
+                    "kind": "parabolic",
+                    "T": 0.0625,
+                    "a2": 2.0,
+                    "gamma": 2.0,
+                    "f": {
+                        "generator": "parabolic_terminal",
+                        "u0": {"generator": "piecewise_profile"},
+                        "T": 0.0625,
+                        "a2": 2.0,
+                    },
+                },
+                "spectrum": {"basis": "sine_rect", "nx": 40, "ny": 40},
+                "schedule": {"checkpoints": [10, 1000]},
+            }
+        )
+        result = run_experiment(cfg)
+        u0 = resolve_source({"generator": "piecewise_profile"}, result.model)
+        np.testing.assert_array_equal(result.reference.coeffs, u0.coeffs)
+        errors = [r.error_vs_reference for r in result.report.records]
+        assert all(0.0 < e < 1.0 for e in errors)
+
     def test_noise_reference_still_clean(self):
         noisy = run_experiment(
             elliptic_mode_config(
@@ -588,6 +653,63 @@ class TestRenderTable:
     def test_unknown_format(self):
         with pytest.raises(ConfigError, match="format"):
             render_table(self.table, "yaml")
+
+
+class TestRenderRows:
+    COLUMNS = (("x", "x value", "---"), ("y", "y", "---:"), ("ok", "ok?", ":---:"))
+    ROWS = [["1", "0.5", "1"], ["2", "0.25", "0"]]
+
+    @staticmethod
+    def unused_payload():
+        raise AssertionError("the JSON payload was built for a text format")
+
+    def test_csv(self):
+        text = render_rows(
+            "csv", self.COLUMNS, self.ROWS, self.unused_payload,
+            title="ignored", notes=("ignored",), csv_notes=("# total=3",),
+            md_rows=[["ignored"]],
+        )
+        assert text == "x,y,ok\n1,0.5,1\n2,0.25,0\n# total=3\n"
+
+    def test_markdown(self):
+        text = render_rows(
+            "markdown", self.COLUMNS, self.ROWS, self.unused_payload,
+            title="Title", notes=("first note", "second note"), csv_notes=("# ignored",),
+            md_rows=[["1", "0.5", "yes"], ["2", "0.25", ""]],
+        )
+        assert text == (
+            "Title\n\n"
+            "| x value | y | ok? |\n"
+            "| --- | ---: | :---: |\n"
+            "| 1 | 0.5 | yes |\n"
+            "| 2 | 0.25 |  |\n"
+            "\nfirst note\nsecond note\n"
+        )
+
+    def test_markdown_without_title_notes_or_md_rows(self):
+        text = render_rows("markdown", self.COLUMNS[:1], [["1"]], self.unused_payload)
+        assert text == "| x value |\n| --- |\n| 1 |\n"
+
+    def test_json_prints_payload(self):
+        calls = []
+
+        def payload():
+            calls.append(1)
+            return {"rows": [1.0, float("inf")]}
+
+        text = render_rows("json", self.COLUMNS, self.ROWS, payload)
+        assert text == '{\n  "rows": [\n    1.0,\n    Infinity\n  ]\n}\n'
+        assert calls == [1]
+
+    def test_unknown_format(self):
+        with pytest.raises(ConfigError, match="unknown report format 'xml'"):
+            render_rows("xml", self.COLUMNS, self.ROWS, self.unused_payload)
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_report_text_formats_skip_the_payload(self, monkeypatch, fmt):
+        report = run_experiment(elliptic_mode_config(checkpoints=(10,))).report
+        monkeypatch.setattr("kmiter.bench.report_to_dict", self.unused_payload)
+        assert render_report(report, fmt).count("\n") >= 2
 
 
 class TestModelSerialization:

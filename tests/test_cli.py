@@ -1,5 +1,6 @@
 """Command line driver: subcommands, flag precedence, exit codes."""
 
+import argparse
 import json
 import re
 import subprocess
@@ -9,12 +10,15 @@ from pathlib import Path
 
 import pytest
 
+from kmiter import ConfigError, run_cutoff_study
 from kmiter.cli import (
     DEFAULT_CHECKPOINTS,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    _cmd_demo_illposed,
+    _render_cutoff_study,
     main,
 )
 
@@ -301,6 +305,40 @@ class TestDemoIllposed:
         assert code == EXIT_OK
         rows = csv_rows(out)
         assert rows[-1]["overflow"] == "1"
+
+
+class TestUnknownFormat:
+    # argparse stops an unknown --format; the renderers behind it refuse one too
+    def test_cutoff_study(self):
+        study = run_cutoff_study(n_modes=4)
+        with pytest.raises(ConfigError, match="format"):
+            _render_cutoff_study(study, "xml")
+
+    def test_demo_illposed(self, capsys):
+        args = argparse.Namespace(kind="parabolic", modes=2, format="xml", out=None)
+        with pytest.raises(ConfigError, match="format"):
+            _cmd_demo_illposed(args)
+        assert capsys.readouterr().out == ""
+
+
+class TestNoLeakedWarnings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the source constant's square overflowed into M = inf
+            ("regularize", "--modes", "512"),
+            # the decay table rebuilt u0 from a subnormal terminal state
+            ("table1", "--modes", "40"),
+        ],
+    )
+    def test_valid_input_exits_0_with_warnings_as_errors(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "kmiter", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestEntryPoints:

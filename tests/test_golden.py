@@ -1,38 +1,50 @@
 """Every subcommand's default output in every format, against golden files.
 
-``tests/golden/<subcommand>.<csv|md|json>`` hold the stdout of
-``kmiter <subcommand> --format <csv|markdown|json>`` as printed while grid
-ingestion still used dense sine matrices.  CSV and markdown must match
-byte for byte.  JSON prints full precision, and the FFT-based transforms
-sum in another order, so numbers there may differ by
+``tests/golden/<name>.<csv|md|json>`` hold the stdout of
+``kmiter <argv> --format <csv|markdown|json>`` for each case in ``CASES``:
+every subcommand of the parser at its defaults, plus the parabolic
+``demo-illposed``, whose rows overflow.  The subcommands come from
+:func:`kmiter.cli.build_parser` and the formats from ``kmiter.bench.FORMATS``,
+so a new subcommand or format fails here until its golden file exists.
+CSV, markdown and any other text format must match byte for byte.  JSON
+prints full precision, and the files were captured while grid ingestion
+used dense sine matrices and the parabolic reference was rebuilt from the
+terminal state, so numbers there may differ by
 ``|a - b| <= 1e-11 |a| + 1e-15``; everything else must be equal.
 """
 
+import argparse
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from kmiter.cli import EXIT_OK, main
+from kmiter.bench import FORMATS
+from kmiter.cli import EXIT_OK, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SUBCOMMANDS = (
-    "elliptic",
-    "hyperbolic",
-    "parabolic",
-    "table2",
-    "table1",
-    "regularize",
-    "demo-illposed",
-)
 EXTENSIONS = {"csv": "csv", "markdown": "md", "json": "json"}
+
+
+def subcommands():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return tuple(sub.choices)
+
+
+CASES = {name: (name,) for name in subcommands()}
+CASES["demo-illposed-parabolic"] = ("demo-illposed", "--kind", "parabolic")
+TEXT_FORMATS = [fmt for fmt in FORMATS if fmt != "json"]
 REL_TOL = 1e-11
 ABS_TOL = 1e-15
 
 
-def run(capsys, command, fmt):
-    code = main([command, "--format", fmt])
+def golden(name, fmt):
+    return GOLDEN / f"{name}.{EXTENSIONS.get(fmt, fmt)}"
+
+
+def run(capsys, name, fmt):
+    code = main([*CASES[name], "--format", fmt])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     return out
@@ -61,18 +73,22 @@ def json_mismatches(want, got, path="$"):
     return []
 
 
-@pytest.mark.parametrize("fmt", ["csv", "markdown"])
-@pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_text_formats_byte_identical(capsys, command, fmt):
-    want = (GOLDEN / f"{command}.{EXTENSIONS[fmt]}").read_text()
-    assert run(capsys, command, fmt) == want
+@pytest.mark.parametrize("fmt", TEXT_FORMATS)
+@pytest.mark.parametrize("name", CASES)
+def test_text_formats_byte_identical(capsys, name, fmt):
+    assert run(capsys, name, fmt) == golden(name, fmt).read_text()
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_json_within_tolerance(capsys, command):
-    want = json.loads((GOLDEN / f"{command}.json").read_text())
-    got = json.loads(run(capsys, command, "json"))
+@pytest.mark.parametrize("name", CASES)
+def test_json_within_tolerance(capsys, name):
+    want = json.loads(golden(name, "json").read_text())
+    got = json.loads(run(capsys, name, "json"))
     assert json_mismatches(want, got) == []
+
+
+def test_every_golden_file_is_checked():
+    checked = {golden(name, fmt).name for name in CASES for fmt in FORMATS}
+    assert {p.name for p in GOLDEN.iterdir()} == checked
 
 
 def test_json_tolerance_is_tight():

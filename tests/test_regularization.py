@@ -370,6 +370,36 @@ class TestSourceHelpers:
         expected = math.sqrt(float(np.sum(w * (g * phibar.coeffs) ** 2)))
         assert got == pytest.approx(expected, rel=1e-14)
 
+    def test_source_constant_past_square_overflow(self):
+        # (G phibar)^2 overflows from about 1.3e154 on; M itself is finite
+        m = make_sine_spectrum_1d(3, 1.0)
+        phibar = from_coeffs(m, [1e200, -3e199, 0.0])
+        G = power_source_function(2.0)
+        w = scale_weights(m, -0.5)
+        g = (1.0 + m.eigenvalues**2) ** 1.0
+        expected = 1e200 * math.sqrt(float(np.sum(w * (g * phibar.coeffs / 1e200) ** 2)))
+        assert source_constant(phibar, G, -0.5) == pytest.approx(expected, rel=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e100, 1e100).filter(lambda x: x == 0.0 or abs(x) >= 1e-100),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5]),
+        st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_source_constant_bits_unchanged_where_square_fits(self, coeffs, s, q):
+        # the power-of-two scaling is exact: where no square over- or
+        # underflows, the direct formula and the scaled one give the same bits
+        m = make_sine_spectrum_1d(len(coeffs), 1.0)
+        phibar = from_coeffs(m, coeffs)
+        G = power_source_function(q)
+        g = np.asarray([G(x) for x in m.eigenvalues])
+        direct = float(np.sqrt(np.sum(scale_weights(m, s) * (g * phibar.coeffs) ** 2)))
+        assert source_constant(phibar, G, s) == direct
+
     def test_measure_eps_prime_is_z_distance(self):
         plan, fac, _ = _elliptic_plan()
         assert measure_eps_prime(fac, fac, -0.5) == 0.0
