@@ -20,7 +20,11 @@ quantities like 1 - F^k remain accurate for k up to 1e9 and beyond.
 
 Closed-form evaluation (geometric sum) and literal stepwise iteration are
 both provided; they agree to rounding and the stepwise path exists mainly to
-validate the recursion and the stopping rules.
+validate the recursion and the stopping rules.  Each report takes the norm
+weights and the reference norm once, and a closed-form report also log|F|;
+a closed-form checkpoint then costs two exp and two expm1 over the modes
+plus a few elementwise passes, and a step at most four elementwise passes
+and one dot product through buffers allocated once.  Memory is O(N).
 """
 
 from __future__ import annotations
@@ -187,42 +191,37 @@ def default_scale(kind: str) -> float:
 # powers of the multiplier, complement-aware
 
 
-def _pow_with_complement(
-    F: np.ndarray, comp: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (F^k, 1 - F^k) per mode, accurate also when F is nearly 1.
+def _log_factor(fac: IterationFactors) -> tuple[np.ndarray, np.ndarray]:
+    """(log|F|, F < 0) per mode.  For F >= 0, log1p(-comp) keeps full
+    precision out of the stored complement; for F < 0 the magnitude goes
+    through log1p(-(1 + F)), the sum being exact for F in [-1, 0]."""
+    neg = fac.factors < 0.0
+    with np.errstate(divide="ignore"):
+        return np.log1p(-np.where(neg, 1.0 + fac.factors, fac.complements)), neg
 
-    For F >= 0, log F = log1p(-comp) keeps full precision out of the stored
-    complement, and 1 - F^k = -expm1(k log F).  For F < 0 the magnitude goes
-    through log1p(-(1 + F)) (the sum 1 + F is exact in floating point for
-    F in [-1, 0]) and the sign follows the parity of k.
+
+def _power(logF: np.ndarray, neg: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F^k, 1 - F^k) per mode, accurate also when F is nearly 1.
+
+    F^k = exp(k log|F|) and 1 - F^k = -expm1(k log|F|); where F < 0 and k
+    is odd, F^k = -|F|^k and 1 - F^k = 1 + |F|^k instead.
     """
-    if k < 0:
-        raise ConfigError(f"step count must be non-negative, got {k}")
     if k == 0:
-        return np.ones_like(F), np.zeros_like(F)
-    Fk = np.empty_like(F)
-    omFk = np.empty_like(F)
-
-    pos = F >= 0.0
-    if np.any(pos):
-        with np.errstate(divide="ignore"):
-            t = k * np.log1p(-comp[pos])  # log of F^k, in [-inf, 0]
-        Fk[pos] = np.exp(t)
-        omFk[pos] = -np.expm1(t)
-
-    neg = ~pos
-    if np.any(neg):
-        with np.errstate(divide="ignore"):
-            t = k * np.log1p(-(1.0 + F[neg]))  # log of |F|^k
-        mag = np.exp(t)
-        if k % 2 == 0:
-            Fk[neg] = mag
-            omFk[neg] = -np.expm1(t)
-        else:
-            Fk[neg] = -mag
-            omFk[neg] = 1.0 + mag
+        return np.ones_like(logF), np.zeros_like(logF)
+    t = k * logF  # log of |F|^k, in [-inf, 0]
+    Fk = np.exp(t)
+    omFk = np.negative(np.expm1(t, out=t), out=t)
+    if k % 2 and neg.any():
+        np.add(Fk, 1.0, out=omFk, where=neg)
+        np.negative(Fk, out=Fk, where=neg)
     return Fk, omFk
+
+
+def _safe_complement(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The divisor of every z / (1 - F): the complement with its exact zeros
+    (-0.0 too) replaced by 1, and the mask of those degenerate modes."""
+    degenerate = comp == 0.0
+    return np.where(degenerate, 1.0, comp), degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +237,8 @@ def fixed_point(fac: IterationFactors) -> SpectralVec:
     :class:`~kmiter.errors.ModeOverflowError` when the quotient passes the
     1e300 guard.
     """
-    comp = fac.complements
-    degenerate = np.flatnonzero(comp == 0.0)
+    safe, degenerate = _safe_complement(fac.complements)
+    degenerate = np.flatnonzero(degenerate)
     if degenerate.size:
         raise DegenerateComplementError(
             f"1 - F is exactly zero at {describe_modes(degenerate)}; "
@@ -248,7 +247,7 @@ def fixed_point(fac: IterationFactors) -> SpectralVec:
             mode_indices=tuple(degenerate.tolist()),
         )
     with np.errstate(over="ignore"):
-        c = fac.z.coeffs / comp
+        c = fac.z.coeffs / safe
     bad = np.flatnonzero(~np.isfinite(c) | (np.abs(c) > 1e300))
     if bad.size:
         raise ModeOverflowError(
@@ -268,13 +267,24 @@ def iterate_closed_form(fac: IterationFactors, phi0: SpectralVec, k: int) -> Spe
     if phi0.model != fac.model:
         raise ConfigError("phi0 must live over the model of the factors")
     k = int(k)
+    if k < 0:
+        raise ConfigError(f"step count must be non-negative, got {k}")
     if k == 0:
         return SpectralVec(phi0.coeffs.copy(), fac.model)
-    Fk, omFk = _pow_with_complement(fac.factors, fac.complements, k)
-    comp = fac.complements
-    safe = np.where(comp == 0.0, 1.0, comp)
-    geom = np.where(comp == 0.0, float(k), omFk / safe)
-    return SpectralVec(Fk * phi0.coeffs + geom * fac.z.coeffs, fac.model)
+    _, phi = _iterate(fac, phi0, k, _log_factor(fac), _safe_complement(fac.complements))
+    return SpectralVec(phi, fac.model)
+
+
+def _iterate(fac, phi0, k, log_factor, safe_complement) -> tuple[np.ndarray, np.ndarray]:
+    """(F^k, phi_k) for k >= 1 from the per-report (log|F|, F < 0) and
+    (safe complement, degenerate mask), at O(N) cost and memory."""
+    Fk, omFk = _power(*log_factor, k)
+    safe, degenerate = safe_complement
+    geom = np.divide(omFk, safe, out=omFk)
+    np.copyto(geom, float(k), where=degenerate)
+    phi = Fk * phi0.coeffs
+    phi += np.multiply(geom, fac.z.coeffs, out=geom)
+    return Fk, phi
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +371,28 @@ class IterationReport:
     termination_reason: str  # "max_steps" or "tolerance"
 
 
-def _scaled_norm(model: SpectrumModel, coeffs: np.ndarray, s: float) -> float:
+def _report(kind, s, records, final_k, stop) -> IterationReport:
+    reason = "max_steps" if final_k == stop.max_steps else "tolerance"
+    return IterationReport(kind, s, tuple(records), final_k, reason)
+
+
+def _scale_norm(model: SpectrumModel, s: float):
+    """v -> ||v|| in the scale norm of index s, with the weights taken once;
+    v is overwritten.  sqrt(v.dot(v)) is np.linalg.norm's own arithmetic."""
     if s == 0.0:
-        return float(np.linalg.norm(coeffs))
-    return float(np.linalg.norm(scale_weights(model, 0.5 * s) * coeffs))
+        return lambda v: math.sqrt(v.dot(v))
+    weights = scale_weights(model, 0.5 * s)
+    return lambda v: math.sqrt(np.multiply(v, weights, out=v).dot(v))
 
 
-def _rel_error(model, coeffs, ref: Optional[SpectralVec]) -> Optional[float]:
-    if ref is None:
-        return None
-    err = float(np.linalg.norm(coeffs - ref.coeffs))
-    base = float(np.linalg.norm(ref.coeffs))
-    return err / base if base > 0.0 else err
+def _error_vs(reference: Optional[SpectralVec]):
+    """coeffs -> L2-relative error against the reference (absolute if the
+    reference is zero), or None without one; its norm is taken once."""
+    if reference is None:
+        return lambda coeffs: None
+    base = float(np.linalg.norm(reference.coeffs))
+    base = base if base > 0.0 else 1.0  # err / 1.0 is err
+    return lambda coeffs: float(np.linalg.norm(coeffs - reference.coeffs)) / base
 
 
 def iterate_stepwise(
@@ -393,44 +413,35 @@ def iterate_stepwise(
         raise ConfigError("phi0 must live over the model of the factors")
     stop = schedule.stop
     s = stop.scale if stop.scale is not None else default_scale(fac.kind)
-    model = fac.model
-    F, z = fac.factors, fac.z.coeffs
+    F, z, tol = fac.factors, fac.z.coeffs, stop.successive_diff_tol
+    norm, error = _scale_norm(fac.model, s), _error_vs(reference)
     wanted = set(schedule.checkpoints)
 
     records: list[CheckpointRecord] = []
 
     def snapshot(k, phi, diff):
-        records.append(
-            CheckpointRecord(
-                k=k,
-                iterate=SpectralVec(phi.copy(), model),
-                successive_diff=diff,
-                residual=_scaled_norm(model, (F * phi + z) - phi, s),
-                error_vs_reference=_rel_error(model, phi, reference),
-            )
-        )
+        records.append(CheckpointRecord(
+            k=k, iterate=SpectralVec(phi.copy(), fac.model), successive_diff=diff,
+            residual=norm((F * phi + z) - phi), error_vs_reference=error(phi),
+        ))
 
+    # two iterate buffers swapped every step, plus one for the difference
     phi = phi0.coeffs.copy()
+    new, d = np.empty_like(phi), np.empty_like(phi)
     final_k = stop.max_steps
-    reason = "max_steps"
     for k in range(1, stop.max_steps + 1):
-        new = F * phi + z
-        diff = _scaled_norm(model, new - phi, s)
-        phi = new
+        np.multiply(F, phi, out=new)
+        new += z
+        diff = norm(np.subtract(new, phi, out=d))
+        phi, new = new, phi
         if k in wanted:
             snapshot(k, phi, diff)
-        if diff == 0.0 or (
-            stop.successive_diff_tol > 0.0 and diff < stop.successive_diff_tol
-        ):
+        if diff == 0.0 or (tol > 0.0 and diff < tol):
             final_k = k
-            reason = "max_steps" if k == stop.max_steps else "tolerance"
             if k not in wanted:
                 snapshot(k, phi, diff)
             break
-    return IterationReport(
-        kind=fac.kind, scale=s, records=tuple(records), final_k=final_k,
-        termination_reason=reason,
-    )
+    return _report(fac.kind, s, records, final_k, stop)
 
 
 def report_closed_form(
@@ -453,38 +464,27 @@ def report_closed_form(
         raise ConfigError("phi0 must live over the model of the factors")
     stop = schedule.stop
     s = stop.scale if stop.scale is not None else default_scale(fac.kind)
-    model = fac.model
     w = fac.z.coeffs - fac.complements * phi0.coeffs  # first-step displacement
+    tol = stop.successive_diff_tol
+    log_factor, safe_complement = _log_factor(fac), _safe_complement(fac.complements)
+    norm, error = _scale_norm(fac.model, s), _error_vs(reference)
 
-    checkpoints = list(schedule.checkpoints)
-    if checkpoints[-1] != stop.max_steps:
-        checkpoints.append(stop.max_steps)
+    checkpoints = sorted({*schedule.checkpoints, stop.max_steps})
 
     records: list[CheckpointRecord] = []
     final_k = stop.max_steps
-    reason = "max_steps"
-    for k in checkpoints:
-        Fkm1, _ = _pow_with_complement(fac.factors, fac.complements, k - 1)
-        Fk, _ = _pow_with_complement(fac.factors, fac.complements, k)
-        phi = iterate_closed_form(fac, phi0, k)
-        diff = _scaled_norm(model, Fkm1 * w, s)
-        records.append(
-            CheckpointRecord(
-                k=k,
-                iterate=phi,
-                successive_diff=diff,
-                residual=_scaled_norm(model, Fk * w, s),
-                error_vs_reference=_rel_error(model, phi.coeffs, reference),
-            )
-        )
-        if stop.successive_diff_tol > 0.0 and diff < stop.successive_diff_tol:
+    for k in checkpoints:  # one row of O(N) work each, never a (K x N) array
+        Fkm1, _ = _power(*log_factor, k - 1)
+        Fk, phi = _iterate(fac, phi0, k, log_factor, safe_complement)
+        diff = norm(np.multiply(Fkm1, w, out=Fkm1))
+        records.append(CheckpointRecord(
+            k=k, iterate=SpectralVec(phi, fac.model), successive_diff=diff,
+            residual=norm(np.multiply(Fk, w, out=Fk)), error_vs_reference=error(phi),
+        ))
+        if tol > 0.0 and diff < tol:
             final_k = k
-            reason = "max_steps" if k == stop.max_steps else "tolerance"
             break
-    return IterationReport(
-        kind=fac.kind, scale=s, records=tuple(records), final_k=final_k,
-        termination_reason=reason,
-    )
+    return _report(fac.kind, s, records, final_k, stop)
 
 
 def run_schedule(

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateComplementError, describe_modes
-from .iterations import IterationFactors
+from .iterations import IterationFactors, _safe_complement
 from .spectral import SpectralVec, SpectrumModel, norm_s, scale_weights, sub
 
 __all__ = [
@@ -230,17 +230,16 @@ def regularized_fixed_point(fac: IterationFactors, z_eps: SpectralVec, n: float)
     n = float(n)
     if not (n > 0.0):
         raise ConfigError(f"cutoff n must be positive, got {n!r}")
-    lam = fac.model.eigenvalues
-    retained = lam <= n
-    degenerate = np.flatnonzero(retained & (fac.complements == 0.0))
+    retained = fac.model.eigenvalues <= n
+    safe, degenerate = _safe_complement(fac.complements)
+    degenerate = np.flatnonzero(retained & degenerate)
     if degenerate.size:
         raise DegenerateComplementError(
             f"cutoff n = {n:g} retains {describe_modes(degenerate)} whose "
             "complement 1 - F is exactly zero; lower the cutoff below them",
             mode_indices=tuple(degenerate.tolist()),
         )
-    safe = np.where(retained & (fac.complements != 0.0), fac.complements, 1.0)
-    c = np.where(retained, z_eps.coeffs / safe, z_eps.coeffs)
+    c = np.divide(z_eps.coeffs, safe, out=z_eps.coeffs.copy(), where=retained)  # z itself above n
     return SpectralVec(c, fac.model)
 
 
@@ -314,7 +313,7 @@ def _bound_arrays(
         n = truncating[bad[0]]
         raise ConfigError(f"G({n!r}) = {float(Gn[bad[0]])!r} is not a positive finite value")
     tail = np.concatenate((plan.source.M / Gn, np.zeros(grid.size - Gn.size)))
-    degenerate = comp == 0.0  # true for -0.0 as well
+    safe, degenerate = _safe_complement(comp)  # degenerate: -0.0 too
     with np.errstate(all="ignore"):
         amp = np.maximum(1.0, np.maximum.accumulate(np.where(degenerate, math.inf, 1.0 / comp)))
         amp = np.where(kept > 0, amp[kept - 1], 1.0)
@@ -326,7 +325,7 @@ def _bound_arrays(
         # cumulative sum and not a difference of sums, so nothing cancels
         w = scale_weights(fac.model, 0.5 * plan.source.s)
         drop_sq = (w * sub(fac.z, reference).coeffs) ** 2
-        ret_sq = (w * (fac.z.coeffs / np.where(degenerate, 1.0, comp) - reference.coeffs)) ** 2
+        ret_sq = (w * (fac.z.coeffs / safe - reference.coeffs)) ** 2
         prefix = np.concatenate(([0.0], np.cumsum(ret_sq)))
         suffix = np.concatenate((np.cumsum(drop_sq[::-1])[::-1], [0.0]))
         err = np.sqrt(prefix[kept] + suffix[kept])

@@ -140,6 +140,8 @@ class SpectrumModel:
         return float(self.eigenvalues[-1])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SpectrumModel):
             return NotImplemented
         return (

@@ -1,11 +1,16 @@
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from kmiter.errors import ConfigError, DegenerateComplementError
+import kmiter.iterations
+from kmiter.errors import ConfigError, DegenerateComplementError, ResonanceError
 from kmiter.iterations import (
+    CheckpointRecord,
     IterationFactors,
+    IterationReport,
     IterationSchedule,
     StoppingRule,
     build_factors,
@@ -31,6 +36,7 @@ from kmiter.spectral import (
     make_custom_spectrum,
     make_sine_spectrum_1d,
     norm_s,
+    scale_weights,
     unit_mode,
     zeros,
 )
@@ -414,3 +420,233 @@ class TestOperatorConditions:
             check_operator_conditions(
                 fac, [zeros(make_sine_spectrum_1d(9, 1.0))], c=1.0
             )
+
+
+# ---------------------------------------------------------------------------
+# bitwise references: the runners as they were before log F, the norm
+# weights and the step buffers were hoisted out of their loops
+
+
+def ref_pow_with_complement(F, comp, k):
+    if k == 0:
+        return np.ones_like(F), np.zeros_like(F)
+    Fk = np.empty_like(F)
+    omFk = np.empty_like(F)
+    pos = F >= 0.0
+    if np.any(pos):
+        with np.errstate(divide="ignore"):
+            t = k * np.log1p(-comp[pos])
+        Fk[pos] = np.exp(t)
+        omFk[pos] = -np.expm1(t)
+    neg = ~pos
+    if np.any(neg):
+        with np.errstate(divide="ignore"):
+            t = k * np.log1p(-(1.0 + F[neg]))
+        mag = np.exp(t)
+        if k % 2 == 0:
+            Fk[neg] = mag
+            omFk[neg] = -np.expm1(t)
+        else:
+            Fk[neg] = -mag
+            omFk[neg] = 1.0 + mag
+    return Fk, omFk
+
+
+def ref_scaled_norm(model, coeffs, s):
+    if s == 0.0:
+        return float(np.linalg.norm(coeffs))
+    return float(np.linalg.norm(scale_weights(model, 0.5 * s) * coeffs))
+
+
+def ref_rel_error(coeffs, ref: Optional[SpectralVec]):
+    if ref is None:
+        return None
+    err = float(np.linalg.norm(coeffs - ref.coeffs))
+    base = float(np.linalg.norm(ref.coeffs))
+    return err / base if base > 0.0 else err
+
+
+def ref_iterate_closed_form(fac, phi0, k):
+    if k == 0:
+        return phi0.coeffs.copy()
+    Fk, omFk = ref_pow_with_complement(fac.factors, fac.complements, k)
+    comp = fac.complements
+    safe = np.where(comp == 0.0, 1.0, comp)
+    geom = np.where(comp == 0.0, float(k), omFk / safe)
+    return Fk * phi0.coeffs + geom * fac.z.coeffs
+
+
+def ref_stepwise(fac, phi0, schedule, reference=None):
+    stop = schedule.stop
+    s = stop.scale if stop.scale is not None else default_scale(fac.kind)
+    model, F, z = fac.model, fac.factors, fac.z.coeffs
+    records = []
+
+    def snapshot(k, phi, diff):
+        records.append(CheckpointRecord(
+            k=k, iterate=SpectralVec(phi.copy(), model), successive_diff=diff,
+            residual=ref_scaled_norm(model, (F * phi + z) - phi, s),
+            error_vs_reference=ref_rel_error(phi, reference),
+        ))
+
+    phi = phi0.coeffs.copy()
+    final_k, reason = stop.max_steps, "max_steps"
+    for k in range(1, stop.max_steps + 1):
+        new = F * phi + z
+        diff = ref_scaled_norm(model, new - phi, s)
+        phi = new
+        if k in schedule.checkpoints:
+            snapshot(k, phi, diff)
+        if diff == 0.0 or (stop.successive_diff_tol > 0.0 and diff < stop.successive_diff_tol):
+            final_k = k
+            reason = "max_steps" if k == stop.max_steps else "tolerance"
+            if k not in schedule.checkpoints:
+                snapshot(k, phi, diff)
+            break
+    return IterationReport(fac.kind, s, tuple(records), final_k, reason)
+
+
+def ref_closed_form(fac, phi0, schedule, reference=None):
+    stop = schedule.stop
+    s = stop.scale if stop.scale is not None else default_scale(fac.kind)
+    model = fac.model
+    w = fac.z.coeffs - fac.complements * phi0.coeffs
+    checkpoints = list(schedule.checkpoints)
+    if checkpoints[-1] != stop.max_steps:
+        checkpoints.append(stop.max_steps)
+    records = []
+    final_k, reason = stop.max_steps, "max_steps"
+    for k in checkpoints:
+        Fkm1, _ = ref_pow_with_complement(fac.factors, fac.complements, k - 1)
+        Fk, _ = ref_pow_with_complement(fac.factors, fac.complements, k)
+        phi = ref_iterate_closed_form(fac, phi0, k)
+        diff = ref_scaled_norm(model, Fkm1 * w, s)
+        records.append(CheckpointRecord(
+            k=k, iterate=SpectralVec(phi, model), successive_diff=diff,
+            residual=ref_scaled_norm(model, Fk * w, s),
+            error_vs_reference=ref_rel_error(phi, reference),
+        ))
+        if stop.successive_diff_tol > 0.0 and diff < stop.successive_diff_tol:
+            final_k = k
+            reason = "max_steps" if k == stop.max_steps else "tolerance"
+            break
+    return IterationReport(fac.kind, s, tuple(records), final_k, reason)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def assert_reports_identical(got: IterationReport, want: IterationReport):
+    assert (got.kind, got.scale, got.final_k, got.termination_reason) == (
+        want.kind, want.scale, want.final_k, want.termination_reason
+    )
+    assert [r.k for r in got.records] == [r.k for r in want.records]
+    for a, b in zip(got.records, want.records):
+        assert same_bits(a.iterate.coeffs, b.iterate.coeffs), f"iterate at k={a.k}"
+        assert a.successive_diff == b.successive_diff, f"successive_diff at k={a.k}"
+        assert a.residual == b.residual, f"residual at k={a.k}"
+        assert a.error_vs_reference == b.error_vs_reference, f"error at k={a.k}"
+
+
+@st.composite
+def factor_cases(draw):
+    """Factors of all three families, with F < 0 (parabolic gamma above
+    exp(lambda_min^2 T)) and exactly zero complements (elliptic T lambda_max
+    up to 600, parabolic lambda_max^2 T up to 800) among the draws."""
+    n = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        m = make_sine_spectrum_1d(n, draw(st.floats(0.5, 20.0)))
+    else:
+        lam = draw(st.lists(st.floats(0.05, 60.0), min_size=n, max_size=n, unique=True))
+        m = make_custom_spectrum(sorted(lam))
+    lam_max = float(m.eigenvalues[-1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = lambda: from_coeffs(m, rng.standard_normal(n))  # noqa: E731
+    kind = draw(st.sampled_from(["elliptic", "hyperbolic", "parabolic"]))
+    if kind == "elliptic":
+        spec = Elliptic(T=draw(st.floats(0.1, 600.0)) / lam_max, f=coeffs(), g=coeffs())
+    elif kind == "hyperbolic":
+        try:
+            spec = Hyperbolic(T=draw(st.floats(0.05, 3.0)), f=coeffs(), g=coeffs())
+        except ResonanceError:
+            assume(False)
+    else:
+        gamma = draw(st.floats(0.05, 2.0))
+        if gamma > 1.0 and draw(st.booleans()):  # F < 0 on the lowest mode
+            T = draw(st.floats(0.01, 0.99)) * math.log(gamma) / float(m.eigenvalues[0]) ** 2
+        else:
+            T = draw(st.floats(1e-3, 800.0)) / lam_max**2
+        spec = Parabolic(T=T, f=coeffs(), gamma=gamma)
+    fac = build_factors(spec)
+    phi0 = coeffs() if draw(st.booleans()) else zeros(m)
+    reference = draw(st.sampled_from([None, "random", "zero"]))
+    reference = {None: None, "random": coeffs(), "zero": zeros(m)}[reference]
+    return fac, phi0, reference
+
+
+def schedules(draw, mode, most):
+    cps = sorted(draw(st.lists(st.integers(1, most), min_size=1, max_size=6, unique=True)))
+    stop = StoppingRule(
+        max_steps=cps[-1] + draw(st.integers(0, 40)),
+        successive_diff_tol=draw(st.one_of(st.just(0.0), st.floats(1e-12, 1.0))),
+        scale=draw(st.sampled_from([None, -0.5, 0.0, 0.5, 1.0])),
+    )
+    return IterationSchedule(checkpoints=tuple(cps), mode=mode, stop=stop)
+
+
+class TestBitwiseAgainstReference:
+    @given(factor_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_stepwise(self, case, data):
+        fac, phi0, reference = case
+        sched = schedules(data.draw, "stepwise", 300)
+        assert_reports_identical(
+            iterate_stepwise(fac, phi0, sched, reference),
+            ref_stepwise(fac, phi0, sched, reference),
+        )
+
+    @given(factor_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form(self, case, data):
+        fac, phi0, reference = case
+        sched = schedules(data.draw, "closed_form", data.draw(st.sampled_from([300, 10**6, 10**9])))
+        assert_reports_identical(
+            report_closed_form(fac, phi0, sched, reference),
+            ref_closed_form(fac, phi0, sched, reference),
+        )
+        for k in (0, 1, 2, 3, sched.checkpoints[-1]):
+            got = iterate_closed_form(fac, phi0, k).coeffs
+            assert same_bits(got, ref_iterate_closed_form(fac, phi0, k)), f"k={k}"
+
+    def test_cases_reach_negative_factors_and_zero_complements(self):
+        m = make_custom_spectrum([0.1, 1.0, 30.0])
+        fac = build_factors(Parabolic(T=1.0, f=unit_mode(m, 1), gamma=1.9))
+        assert fac.factors[0] < 0.0 and fac.complements[2] == 0.0
+        phi0 = from_coeffs(m, [1.0, -2.0, 3.0])
+        for k in range(0, 6):
+            assert same_bits(
+                iterate_closed_form(fac, phi0, k).coeffs, ref_iterate_closed_form(fac, phi0, k)
+            )
+        sched = IterationSchedule(checkpoints=(1, 2, 3, 4, 5, 7, 10**9))
+        assert_reports_identical(
+            report_closed_form(fac, phi0, sched), ref_closed_form(fac, phi0, sched)
+        )
+
+    @pytest.mark.parametrize("scale", [None, 0.0, 1.0])
+    def test_norm_weights_taken_once_per_call(self, monkeypatch, scale):
+        calls = []
+
+        def counting(model, s):
+            calls.append(s)
+            return scale_weights(model, s)
+
+        monkeypatch.setattr(kmiter.iterations, "scale_weights", counting)
+        m = make_sine_spectrum_1d(32, 1.0)
+        fac = build_factors(Elliptic(T=0.05, f=zeros(m), g=unit_mode(m, 2)))
+        stop = StoppingRule(max_steps=200, scale=scale)
+        for mode, runner in (("stepwise", iterate_stepwise), ("closed_form", report_closed_form)):
+            calls.clear()
+            sched = IterationSchedule(checkpoints=(1, 10, 100, 200), mode=mode, stop=stop)
+            runner(fac, zeros(m), sched, fixed_point(fac))
+            assert len(calls) <= 1, (mode, calls)
