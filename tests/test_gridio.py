@@ -254,15 +254,26 @@ def dense_sine_matrix(a, length, n):
     return math.sqrt(2.0 / length) * np.sin(np.outer(a, j * (math.pi / length)))
 
 
-def dense_ingest(gf, m):
+def dense_ingest(gf, m, absolute=False):
+    # absolute=True sums |f phi| instead of f phi: the scale of the
+    # quadrature's rounding error, which cancellation in f phi does not shrink
     b = m.basis
+    f = np.abs if absolute else (lambda a: a)
     if gf.ndim == 1:
         x = gf.axes[0]
-        return np.trapezoid(gf.values[:, None] * dense_sine_matrix(x, b.length, m.n_modes), x, axis=0)
+        return np.trapezoid(f(gf.values)[:, None] * f(dense_sine_matrix(x, b.length, m.n_modes)), x, axis=0)
     x, y = gf.axes
-    bx = np.trapezoid(gf.values[:, :, None] * dense_sine_matrix(x, b.lx, b.nx)[:, None, :], x, axis=0)
-    table = np.trapezoid(bx[:, :, None] * dense_sine_matrix(y, b.ly, b.ny)[:, None, :], y, axis=0)
+    bx = np.trapezoid(f(gf.values)[:, :, None] * f(dense_sine_matrix(x, b.lx, b.nx))[:, None, :], x, axis=0)
+    table = np.trapezoid(bx[:, :, None] * f(dense_sine_matrix(y, b.ly, b.ny))[:, None, :], y, axis=0)
     return np.array([table[j - 1, k - 1] for (j, k) in m.mode_index_map])
+
+
+def assert_ingest_matches_dense(gf, m):
+    # each coefficient to 1e-13 of its own rounding scale; a bound relative
+    # to |want| fails on rounding alone when random samples cancel
+    want = dense_ingest(gf, m)
+    got = ingest_grid(gf, m).coeffs
+    assert np.all(np.abs(got - want) <= 1e-13 * dense_ingest(gf, m, absolute=True))
 
 
 def dense_render(v, gf):
@@ -309,10 +320,19 @@ class TestAgainstDenseQuadrature:
         for axis in range(vals.ndim):
             ends = np.moveaxis(vals, axis, 0)
             ends[[0, -1]] = rng.uniform(-1e-12, 1e-12, ends[[0, -1]].shape)
-        gf = make_grid_function(axes, vals)
-        want = dense_ingest(gf, m)
-        got = ingest_grid(gf, m).coeffs
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert_ingest_matches_dense(make_grid_function(axes, vals), m)
+
+    def test_ingest_cancelling_coefficient(self):
+        # random samples whose one coefficient cancels to ~5e-4 of the
+        # quadrature's terms, which sum to ~1.3 in absolute value
+        m = make_sine_spectrum_1d(1, math.pi)
+        rng = np.random.default_rng(14007)
+        x = np.linspace(0.0, math.pi, 193)
+        vals = rng.standard_normal(x.size)
+        vals[[0, -1]] = rng.uniform(-1e-12, 1e-12, 2)
+        gf = make_grid_function((x,), vals)
+        assert abs(dense_ingest(gf, m)[0]) < 1e-3 * dense_ingest(gf, m, absolute=True)[0]
+        assert_ingest_matches_dense(gf, m)
 
     @given(sine_models(), st.data(), st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
