@@ -160,6 +160,11 @@ def load_config(obj) -> ExperimentConfig:
     if kind not in ("elliptic", "hyperbolic", "parabolic"):
         raise ConfigError(f"problem.kind must be elliptic/hyperbolic/parabolic, got {kind!r}")
     _require(problem, "T", "problem")
+    if "z_variant" in problem:
+        raise ConfigError(
+            "problem.z_variant is no longer supported: the hyperbolic iteration "
+            "always uses z = lambda sin(lambda T) (g - cos(lambda T) f)"
+        )
     _check_source_files(_require(problem, "f", "problem"))
     if kind in ("elliptic", "hyperbolic"):
         _check_source_files(_require(problem, "g", "problem"))
@@ -323,8 +328,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         spec = clean_spec
 
-    z_variant = cfg.problem.get("z_variant", "consistent")
-    fac = build_factors(spec, z_variant=z_variant)
+    fac = build_factors(spec)
     schedule = _build_schedule(cfg.schedule)
     phi0 = zeros(model)
     report = run_schedule(fac, phi0, schedule, reference=reference)

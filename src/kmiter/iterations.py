@@ -117,31 +117,19 @@ def _strict_gamma_status(gamma: float, lam_min: float, T: float) -> str:
     return "holds" if gamma < limit else "violated"
 
 
-def build_factors(
-    spec: ProblemSpec,
-    model: Optional[SpectrumModel] = None,
-    *,
-    z_variant: str = "consistent",
-) -> IterationFactors:
+def build_factors(spec: ProblemSpec, model: Optional[SpectrumModel] = None) -> IterationFactors:
     """Assemble the per-mode multipliers F and affine term z for a problem.
 
     ``model`` defaults to the model the problem data lives over; passing one
     explicitly is only a consistency assertion.
 
-    ``z_variant`` applies to the hyperbolic family only.  The default
-    ``"consistent"`` uses z_j = lambda_j sin(lambda_j T) (g_j -
-    cos(lambda_j T) f_j), whose fixed point is the initial velocity.  The
-    alternative ``"unscaled_g"`` omits the factor lambda_j on the g term;
-    that variant appears in some statements of the method but its fixed
-    point is not the initial velocity unless f and g are rescaled, so it is
-    kept only for side-by-side comparison.
+    The hyperbolic z_j = lambda_j sin(lambda_j T) (g_j - cos(lambda_j T) f_j)
+    makes the fixed point the initial velocity.
     """
     if model is None:
         model = spec.model
     elif model != spec.model:
         raise ConfigError("explicit model disagrees with the model of the problem data")
-    if z_variant not in ("consistent", "unscaled_g"):
-        raise ConfigError(f"unknown z_variant {z_variant!r}")
     lam = model.eigenvalues
     T = spec.T
 
@@ -162,8 +150,7 @@ def build_factors(
         sn, cs = np.sin(x), np.cos(x)
         F = cs * cs
         comp = sn * sn
-        g_weight = lam * sn if z_variant == "consistent" else sn
-        z = -cs * sn * lam * spec.f.coeffs + g_weight * spec.g.coeffs
+        z = -cs * sn * lam * spec.f.coeffs + lam * sn * spec.g.coeffs
         return IterationFactors(
             kind="hyperbolic", factors=F, complements=comp,
             z=SpectralVec(z, model), T=T,

@@ -17,9 +17,13 @@ also power the ill-posedness demonstrations: a unit wiggle in the data blows
 up by cosh(lambda T), 1/|sin(lambda T)| or exp(lambda^2 T) depending on the
 family.
 
+A trajectory provider maps a 1-D array of Q times to two (Q x N) arrays, u
+and du/dt; ``trajectory_norm`` calls it on blocks of ``max(1, 2**15 // N)``
+times, so a norm costs O(Q N) time and O(N) memory per block.
+
 Magnitudes beyond ``OVERFLOW_LIMIT`` (1e300) raise
-:class:`~kmiter.errors.ModeOverflowError` naming the modes, rather than
-silently propagating infinities.
+:class:`~kmiter.errors.ModeOverflowError` naming the modes (for a provider,
+those past it at any of its times), rather than propagating infinities.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ConfigError, ModeOverflowError, ResonanceError, describe_modes
-from .spectral import SpectralVec, SpectrumModel, norm_s, unit_mode
+from .spectral import SpectralVec, SpectrumModel, norm_s, scale_weights, unit_mode
 
 __all__ = [
     "RESONANCE_TOL",
@@ -60,7 +64,8 @@ OVERFLOW_LIMIT = 1e300
 
 
 def _guard_overflow(coeffs: np.ndarray, what: str) -> np.ndarray:
-    bad = np.flatnonzero(~np.isfinite(coeffs) | (np.abs(coeffs) > OVERFLOW_LIMIT))
+    bad = ~np.isfinite(coeffs) | (np.abs(coeffs) > OVERFLOW_LIMIT)
+    bad = np.flatnonzero(np.atleast_2d(bad).any(axis=0))
     if bad.size:
         raise ModeOverflowError(
             f"{what} exceeds the {OVERFLOW_LIMIT:.0e} overflow guard at "
@@ -173,7 +178,16 @@ ProblemSpec = Elliptic | Hyperbolic | Parabolic
 
 
 # ---------------------------------------------------------------------------
-# closed-form traces
+# closed-form solutions: each family's evaluator (spec, ts) -> (U, dU) gives
+# u and du/dt at the times ts as unguarded (times x modes) arrays
+
+
+def _check_times(spec: ProblemSpec, ts) -> np.ndarray:
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    outside = ~((ts >= 0.0) & (ts <= spec.T))
+    if outside.any():
+        raise ConfigError(f"t = {float(ts[outside][0])!r} outside [0, T] with T = {spec.T!r}")
+    return ts
 
 
 def _times_datum(multiplier: np.ndarray, datum: np.ndarray) -> np.ndarray:
@@ -185,35 +199,47 @@ def _times_datum(multiplier: np.ndarray, datum: np.ndarray) -> np.ndarray:
     return np.where(datum == 0.0, datum, multiplier * datum)
 
 
-def _check_time(spec, t: float) -> float:
-    t = float(t)
-    if not (0.0 <= t <= spec.T):
-        raise ConfigError(f"t = {t!r} outside [0, T] with T = {spec.T!r}")
-    return t
+def _elliptic(spec: Elliptic, ts) -> Tuple[np.ndarray, np.ndarray]:
+    """u = cosh(At) f + sinh(At) A^{-1} g and du/dt = A sinh(At) f + cosh(At) g."""
+    lam, f, g = spec.model.eigenvalues, spec.f.coeffs, spec.g.coeffs
+    x = _check_times(spec, ts)[:, None] * lam
+    # overflow is reported by _guard_overflow; the inf * 0 products that
+    # _times_datum discards need not warn either
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sh = np.cosh(x), np.sinh(x)
+        u = _times_datum(ch, f) + _times_datum(sh / lam, g)
+        return u, _times_datum(lam * sh, f) + _times_datum(ch, g)
+
+
+def _hyperbolic(spec: Hyperbolic, ts) -> Tuple[np.ndarray, np.ndarray]:
+    """u = cos(At) f + sin(At) A^{-1} phi and du/dt = -A sin(At) f + cos(At) phi."""
+    lam, f = spec.model.eigenvalues, spec.f.coeffs
+    phi = hyperbolic_solution_dt0(spec).coeffs
+    x = _check_times(spec, ts)[:, None] * lam
+    cs, sn = np.cos(x), np.sin(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cs * f + sn / lam * phi, -lam * sn * f + cs * phi
+
+
+def _parabolic(spec: Parabolic, ts) -> Tuple[np.ndarray, np.ndarray]:
+    """u = exp(A^2 (T - t)) f, so u(T) = f, and du/dt = -A^2 u; a zero datum gives +0."""
+    lam2, f = spec.model.eigenvalues * spec.model.eigenvalues, spec.f.coeffs
+    s = spec.T - _check_times(spec, ts)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.where(f == 0.0, 0.0, np.exp(lam2 * s) * f)
+        return u, -lam2 * u
 
 
 def elliptic_solution_at(spec: Elliptic, t: float) -> SpectralVec:
     """u(t) = cosh(At) f + sinh(At) A^{-1} g, evaluated per mode."""
-    t = _check_time(spec, t)
-    lam = spec.model.eigenvalues
-    # overflow is reported by _guard_overflow; the inf * 0 products that
-    # _times_datum discards need not warn either
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _times_datum(np.cosh(lam * t), spec.f.coeffs) + _times_datum(
-            np.sinh(lam * t) / lam, spec.g.coeffs
-        )
-    return SpectralVec(_guard_overflow(c, "elliptic solution"), spec.model)
+    u, _ = _elliptic(spec, float(t))
+    return SpectralVec(_guard_overflow(u[0], "elliptic solution"), spec.model)
 
 
 def elliptic_dt_solution_at(spec: Elliptic, t: float) -> SpectralVec:
     """Time derivative of the elliptic solution: A sinh(At) f + cosh(At) g."""
-    t = _check_time(spec, t)
-    lam = spec.model.eigenvalues
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _times_datum(lam * np.sinh(lam * t), spec.f.coeffs) + _times_datum(
-            np.cosh(lam * t), spec.g.coeffs
-        )
-    return SpectralVec(_guard_overflow(c, "elliptic time derivative"), spec.model)
+    _, du = _elliptic(spec, float(t))
+    return SpectralVec(_guard_overflow(du[0], "elliptic time derivative"), spec.model)
 
 
 def hyperbolic_solution_dt0(spec: Hyperbolic) -> SpectralVec:
@@ -221,17 +247,15 @@ def hyperbolic_solution_dt0(spec: Hyperbolic) -> SpectralVec:
     ``lambda (g - cos(lambda T) f) / sin(lambda T)``."""
     lam = spec.model.eigenvalues
     s = np.sin(lam * spec.T)
-    c = lam * (spec.g.coeffs - np.cos(lam * spec.T) * spec.f.coeffs) / s
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = lam * (spec.g.coeffs - np.cos(lam * spec.T) * spec.f.coeffs) / s
     return SpectralVec(_guard_overflow(c, "hyperbolic initial velocity"), spec.model)
 
 
 def hyperbolic_solution_at(spec: Hyperbolic, t: float) -> SpectralVec:
     """u(t) = cos(At) f + sin(At) A^{-1} du/dt(0)."""
-    t = _check_time(spec, t)
-    lam = spec.model.eigenvalues
-    phi = hyperbolic_solution_dt0(spec).coeffs
-    c = np.cos(lam * t) * spec.f.coeffs + np.sin(lam * t) / lam * phi
-    return SpectralVec(_guard_overflow(c, "hyperbolic solution"), spec.model)
+    u, _ = _hyperbolic(spec, float(t))
+    return SpectralVec(_guard_overflow(u[0], "hyperbolic solution"), spec.model)
 
 
 def parabolic_solution_at(u0: SpectralVec, t: float) -> SpectralVec:
@@ -250,63 +274,44 @@ def parabolic_backward_trace(spec: Parabolic) -> SpectralVec:
     passes 1e300; with lambda^2 T around 700 this happens no matter how small
     the datum is, which is the severe ill-posedness made concrete.
     """
-    lam = spec.model.eigenvalues
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.exp(lam * lam * spec.T) * spec.f.coeffs
-    # a mode the datum does not touch has a zero backward value, not an
-    # inf * 0 artifact; only modes with actual content can overflow
-    c[spec.f.coeffs == 0.0] = 0.0
-    return SpectralVec(_guard_overflow(c, "backward heat value"), spec.model)
+    u, _ = _parabolic(spec, 0.0)
+    return SpectralVec(_guard_overflow(u[0], "backward heat value"), spec.model)
 
 
 # ---------------------------------------------------------------------------
 # trajectories and energy norms
 
-TrajectoryProvider = Callable[[float], Tuple[SpectralVec, SpectralVec]]
+TrajectoryProvider = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+_BLOCK_VALUES = 2**15  # trajectory_norm passes max(1, this // N) times per call
+
+
+def _guarded(evaluate, spec: ProblemSpec, what: str, what_dt: str) -> TrajectoryProvider:
+    def traj(ts):
+        u, du = evaluate(spec, ts)
+        return _guard_overflow(u, what), _guard_overflow(du, what_dt)
+
+    return traj
 
 
 def elliptic_trajectory(spec: Elliptic) -> TrajectoryProvider:
-    """Provider t -> (u(t), du/dt(t)) for the elliptic Cauchy solution."""
-
-    def traj(t: float):
-        return elliptic_solution_at(spec, t), elliptic_dt_solution_at(spec, t)
-
-    return traj
+    """Provider ts -> (u, du/dt) for the elliptic Cauchy solution."""
+    return _guarded(_elliptic, spec, "elliptic solution", "elliptic time derivative")
 
 
 def hyperbolic_trajectory(spec: Hyperbolic) -> TrajectoryProvider:
-    """Provider t -> (u(t), du/dt(t)) for the vibration solution."""
-    phi = hyperbolic_solution_dt0(spec)
-    lam = spec.model.eigenvalues
-
-    def traj(t: float):
-        u = np.cos(lam * t) * spec.f.coeffs + np.sin(lam * t) / lam * phi.coeffs
-        du = -lam * np.sin(lam * t) * spec.f.coeffs + np.cos(lam * t) * phi.coeffs
-        return SpectralVec(u, spec.model), SpectralVec(du, spec.model)
-
-    return traj
+    """Provider ts -> (u, du/dt) for the vibration solution."""
+    return _guarded(_hyperbolic, spec, "hyperbolic solution", "hyperbolic velocity")
 
 
 def parabolic_trajectory_from_terminal(spec: Parabolic) -> TrajectoryProvider:
-    """Provider t -> (u(t), du/dt(t)) with u(T) = f, so u(t) = exp(A^2(T-t)) f.
+    """Provider ts -> (u, du/dt) with u(T) = f, so u(t) = exp(A^2(T-t)) f.
 
     Evaluation near t = 0 overflows (and raises) exactly when the backward
     trace itself does.
     """
-    lam = spec.model.eigenvalues
-    lam2 = lam * lam
-
-    def traj(t: float):
-        t = float(t)
-        if not (0.0 <= t <= spec.T):
-            raise ConfigError(f"t = {t!r} outside [0, T] with T = {spec.T!r}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = np.exp(lam2 * (spec.T - t)) * spec.f.coeffs
-        u[spec.f.coeffs == 0.0] = 0.0
-        u = _guard_overflow(u, "backward heat trajectory")
-        return SpectralVec(u, spec.model), SpectralVec(-lam2 * u, spec.model)
-
-    return traj
+    return _guarded(
+        _parabolic, spec, "backward heat trajectory", "backward heat time derivative"
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -337,17 +342,24 @@ def trajectory_norm(spec: ProblemSpec, traj: TrajectoryProvider, tn: TrajectoryN
 
     Time integrals use the composite trapezoid rule on a uniform grid of
     ``tn.quadrature_points`` samples; the sup-type ``Vh`` norm is the max
-    over the same grid.
+    over the same grid.  ``traj`` is called on blocks of
+    ``max(1, 2**15 // N)`` times.
     """
     ts = np.linspace(0.0, spec.T, tn.quadrature_points)
-    dt_scale = 0.0 if tn.which in ("Ve", "Vh") else -1.0
+    # weighted before squaring, as in norm_s: a du/dt past 1e154 under the
+    # "Vp" weight (1 + lambda^2)^-1 does not overflow
+    w_u = scale_weights(spec.model, 0.5)
+    w_du = scale_weights(spec.model, 0.0 if tn.which in ("Ve", "Vh") else -0.5)
+    rows = max(1, _BLOCK_VALUES // spec.model.n_modes)
     vals = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        u, du = traj(float(t))
-        vals[i] = norm_s(u, 1.0) ** 2 + norm_s(du, dt_scale) ** 2
-    if tn.which == "Vh":
-        return float(np.sqrt(np.max(vals)))
-    return float(np.sqrt(np.trapezoid(vals, ts)))
+    with np.errstate(over="ignore"):  # a norm past float max is inf
+        for i in range(0, ts.size, rows):
+            u, du = traj(ts[i : i + rows])
+            x, y = u * w_u, du * w_du
+            vals[i : i + rows] = np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", y, y)
+        if tn.which == "Vh":
+            return float(np.sqrt(np.max(vals)))
+        return float(np.sqrt(np.trapezoid(vals, ts)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +404,14 @@ def illposedness_demo(kind: str, model: SpectrumModel, T: float, k: int) -> IllP
     data = (1.0 / norm_s(e_k, data_scale)) * e_k
     zero = 0.0 * e_k
 
+    if kind == "elliptic":
+        prob, traj, which = Elliptic(T=T, f=zero, g=data), elliptic_trajectory, "Ve"
+    elif kind == "hyperbolic":
+        prob, traj, which = Hyperbolic(T=T, f=zero, g=data), hyperbolic_trajectory, "Vh"
+    else:
+        prob, traj, which = Parabolic(T=T, f=data), parabolic_trajectory_from_terminal, "Vp"
     try:
-        if kind == "elliptic":
-            prob = Elliptic(T=T, f=zero, g=data)
-            tn = TrajectoryNormSpec(which="Ve")
-            sol = trajectory_norm(prob, elliptic_trajectory(prob), tn)
-        elif kind == "hyperbolic":
-            prob = Hyperbolic(T=T, f=zero, g=data)
-            tn = TrajectoryNormSpec(which="Vh")
-            sol = trajectory_norm(prob, hyperbolic_trajectory(prob), tn)
-        else:
-            prob = Parabolic(T=T, f=data)
-            tn = TrajectoryNormSpec(which="Vp")
-            sol = trajectory_norm(prob, parabolic_trajectory_from_terminal(prob), tn)
+        sol = trajectory_norm(prob, traj(prob), TrajectoryNormSpec(which=which))
     except ModeOverflowError:
         return IllPosednessRecord(
             kind=kind, mode_index=k, data_norm=1.0, solution_norm=math.inf, overflow=True

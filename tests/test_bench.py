@@ -41,6 +41,7 @@ from kmiter.bench import (
     report_to_dict,
     resolve_source,
 )
+from kmiter.cli import EXIT_CONFIG, main
 
 import oracles
 
@@ -451,7 +452,9 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.factors.z.coeffs, b.factors.z.coeffs)
         assert a.report == b.report
 
-    def test_z_variant_passthrough(self):
+    def test_z_variant_refused(self, tmp_path, capsys):
+        # the "unscaled_g" variant is gone; a config that still names it
+        # exits 2 instead of silently running the consistent iteration
         base = {
             "problem": {
                 "kind": "hyperbolic",
@@ -462,15 +465,15 @@ class TestRunExperiment:
             "spectrum": {"basis": "sine1d", "n_modes": 3},
             "schedule": {"checkpoints": [10]},
         }
-        consistent = run_experiment(load_config(base))
-        unscaled = run_experiment(
-            load_config(
-                {**base, "problem": {**base["problem"], "z_variant": "unscaled_g"}}
-            )
-        )
-        assert np.any(
-            consistent.factors.z.coeffs != unscaled.factors.z.coeffs
-        )
+        run_experiment(load_config(base))
+        for variant in ("unscaled_g", "consistent"):
+            cfg = {**base, "problem": {**base["problem"], "z_variant": variant}}
+            with pytest.raises(ConfigError, match="z_variant"):
+                load_config(cfg)
+            path = tmp_path / f"{variant}.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["hyperbolic", "--config", str(path)]) == EXIT_CONFIG
+            assert "z_variant" in capsys.readouterr().err
 
     def test_output_emission(self, tmp_path):
         path = tmp_path / "report.csv"

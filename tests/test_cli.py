@@ -329,6 +329,8 @@ class TestNoLeakedWarnings:
             ("regularize", "--modes", "512"),
             # the decay table rebuilt u0 from a subnormal terminal state
             ("table1", "--modes", "40"),
+            # the trapezoid sum of the elliptic trajectory norm overflowed
+            ("demo-illposed", "--modes", "300"),
         ],
     )
     def test_valid_input_exits_0_with_warnings_as_errors(self, argv):

@@ -3,7 +3,8 @@
 ``tests/golden/<name>.<csv|md|json>`` hold the stdout of
 ``kmiter <argv> --format <csv|markdown|json>`` for each case in ``CASES``:
 every subcommand of the parser at its defaults, plus the parabolic
-``demo-illposed``, whose rows overflow.  The subcommands come from
+``demo-illposed``, whose rows overflow, and the hyperbolic one, which takes
+the sup-type trajectory norm.  The subcommands come from
 :func:`kmiter.cli.build_parser` and the formats from ``kmiter.bench.FORMATS``,
 so a new subcommand or format fails here until its golden file exists.
 CSV, markdown and any other text format must match byte for byte.  JSON
@@ -34,6 +35,7 @@ def subcommands():
 
 CASES = {name: (name,) for name in subcommands()}
 CASES["demo-illposed-parabolic"] = ("demo-illposed", "--kind", "parabolic")
+CASES["demo-illposed-hyperbolic"] = ("demo-illposed", "--kind", "hyperbolic")
 TEXT_FORMATS = [fmt for fmt in FORMATS if fmt != "json"]
 REL_TOL = 1e-11
 ABS_TOL = 1e-15

@@ -120,12 +120,6 @@ class TestBuildFactors:
         assert fac.z.coeffs[0] == pytest.approx(
             -cs * sn * lam * 0.5 + lam * sn * 1.0, rel=1e-14
         )
-        alt = build_factors(p, z_variant="unscaled_g")
-        assert alt.z.coeffs[0] == pytest.approx(
-            -cs * sn * lam * 0.5 + sn * 1.0, rel=1e-14
-        )
-        with pytest.raises(ConfigError):
-            build_factors(p, z_variant="mystery")
 
     def test_explicit_model_must_match(self):
         spec = elliptic_unit()

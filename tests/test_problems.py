@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kmiter.errors import ConfigError, ModeOverflowError, ResonanceError, describe_modes
 from kmiter.problems import (
+    OVERFLOW_LIMIT,
     Elliptic,
     Hyperbolic,
     Parabolic,
@@ -22,9 +25,11 @@ from kmiter.problems import (
     trajectory_norm,
 )
 from kmiter.spectral import (
+    SpectralVec,
     from_coeffs,
     make_custom_spectrum,
     make_sine_spectrum_1d,
+    norm_s,
     unit_mode,
     zeros,
 )
@@ -256,8 +261,8 @@ class TestTrajectoryNorms:
         # constant u = e_1, du = 0: integrand is ||e_1||_1^2 = 1 + pi^2
         m = sine_model()
         p = Elliptic(T=1.0, f=zeros(m), g=zeros(m))
-        e1, zero = unit_mode(m, 1), zeros(m)
-        traj = lambda t: (e1, zero)
+        e1 = unit_mode(m, 1).coeffs
+        traj = lambda ts: (np.tile(e1, (ts.size, 1)), np.zeros((ts.size, m.n_modes)))
         got = trajectory_norm(p, traj, TrajectoryNormSpec(which="Ve"))
         assert got == pytest.approx(oracles.SQRT_1_PLUS_PI2, rel=1e-13)
         got_sup = trajectory_norm(p, traj, TrajectoryNormSpec(which="Vh"))
@@ -318,10 +323,293 @@ class TestHyperbolicTrajectory:
         g = from_coeffs(m, [-0.4, 0.9])
         p = Hyperbolic(T=1.0, f=f, g=g)
         traj = hyperbolic_trajectory(p)
-        u0, du0 = traj(0.0)
-        uT, _ = traj(1.0)
-        np.testing.assert_allclose(u0.coeffs, f.coeffs, atol=1e-14)
-        np.testing.assert_allclose(uT.coeffs, g.coeffs, atol=1e-14)
+        (u0, uT), (du0, _) = traj(np.array([0.0, 1.0]))
+        np.testing.assert_allclose(u0, f.coeffs, atol=1e-14)
+        np.testing.assert_allclose(uT, g.coeffs, atol=1e-14)
         np.testing.assert_allclose(
-            du0.coeffs, hyperbolic_solution_dt0(p).coeffs, atol=1e-14
+            du0, hyperbolic_solution_dt0(p).coeffs, atol=1e-14
         )
+
+
+# ---------------------------------------------------------------------------
+# Reference: the closed forms evaluated one time at a time, each time as two
+# validated vectors, and the norm loop over them with norm_s.  The
+# evaluators and the blocked norm must reproduce these.  Where the per-time
+# code let numpy warn on overflow, the reference ignores the warning, so an
+# overflow surfaces as the guard's error or an infinite norm on both sides.
+
+
+def ref_guard(coeffs, what):
+    bad = np.flatnonzero(~np.isfinite(coeffs) | (np.abs(coeffs) > OVERFLOW_LIMIT))
+    if bad.size:
+        raise ModeOverflowError(what, mode_indices=tuple(bad.tolist()))
+    return coeffs
+
+
+def ref_times_datum(multiplier, datum):
+    return np.where(datum == 0.0, datum, multiplier * datum)
+
+
+def ref_check_time(spec, t):
+    t = float(t)
+    if not (0.0 <= t <= spec.T):
+        raise ConfigError(f"t = {t!r} outside [0, T] with T = {spec.T!r}")
+    return t
+
+
+def ref_elliptic_solution_at(spec, t):
+    t = ref_check_time(spec, t)
+    lam = spec.model.eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = ref_times_datum(np.cosh(lam * t), spec.f.coeffs) + ref_times_datum(
+            np.sinh(lam * t) / lam, spec.g.coeffs
+        )
+    return SpectralVec(ref_guard(c, "elliptic solution"), spec.model)
+
+
+def ref_elliptic_dt_solution_at(spec, t):
+    t = ref_check_time(spec, t)
+    lam = spec.model.eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = ref_times_datum(lam * np.sinh(lam * t), spec.f.coeffs) + ref_times_datum(
+            np.cosh(lam * t), spec.g.coeffs
+        )
+    return SpectralVec(ref_guard(c, "elliptic time derivative"), spec.model)
+
+
+def ref_hyperbolic_solution_at(spec, t):
+    t = ref_check_time(spec, t)
+    lam = spec.model.eigenvalues
+    phi = hyperbolic_solution_dt0(spec).coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.cos(lam * t) * spec.f.coeffs + np.sin(lam * t) / lam * phi
+    return SpectralVec(ref_guard(c, "hyperbolic solution"), spec.model)
+
+
+def ref_parabolic_backward_trace(spec):
+    lam = spec.model.eigenvalues
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.exp(lam * lam * spec.T) * spec.f.coeffs
+    c[spec.f.coeffs == 0.0] = 0.0
+    return SpectralVec(ref_guard(c, "backward heat value"), spec.model)
+
+
+def ref_elliptic_trajectory(spec):
+    return lambda t: (ref_elliptic_solution_at(spec, t), ref_elliptic_dt_solution_at(spec, t))
+
+
+def ref_hyperbolic_trajectory(spec):
+    phi = hyperbolic_solution_dt0(spec)
+    lam = spec.model.eigenvalues
+
+    def traj(t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.cos(lam * t) * spec.f.coeffs + np.sin(lam * t) / lam * phi.coeffs
+            du = -lam * np.sin(lam * t) * spec.f.coeffs + np.cos(lam * t) * phi.coeffs
+        return SpectralVec(u, spec.model), SpectralVec(du, spec.model)
+
+    return traj
+
+
+def ref_parabolic_trajectory(spec):
+    lam = spec.model.eigenvalues
+    lam2 = lam * lam
+
+    def traj(t):
+        t = ref_check_time(spec, t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = np.exp(lam2 * (spec.T - t)) * spec.f.coeffs
+            u[spec.f.coeffs == 0.0] = 0.0
+            u = ref_guard(u, "backward heat trajectory")
+            return SpectralVec(u, spec.model), SpectralVec(-lam2 * u, spec.model)
+
+    return traj
+
+
+def ref_trajectory_norm(spec, traj, tn):
+    ts = np.linspace(0.0, spec.T, tn.quadrature_points)
+    dt_scale = 0.0 if tn.which in ("Ve", "Vh") else -1.0
+    vals = np.empty(ts.size)
+    with np.errstate(over="ignore"):
+        for i, t in enumerate(ts):
+            u, du = traj(float(t))
+            vals[i] = norm_s(u, 1.0) ** 2 + norm_s(du, dt_scale) ** 2
+        if tn.which == "Vh":
+            return float(np.sqrt(np.max(vals)))
+        return float(np.sqrt(np.trapezoid(vals, ts)))
+
+
+FAMILIES = {
+    "elliptic": (ref_elliptic_trajectory, elliptic_trajectory, "Ve"),
+    "hyperbolic": (ref_hyperbolic_trajectory, hyperbolic_trajectory, "Vh"),
+    "parabolic": (ref_parabolic_trajectory, parabolic_trajectory_from_terminal, "Vp"),
+}
+# mode counts around the block boundaries of trajectory_norm: 257 times fit
+# one block up to N = 127, and from N = 2**14 + 1 on a block is one time
+SMALL_N = st.integers(1, 12) | st.sampled_from([126, 127, 128, 129, 255, 256, 257])
+LARGE_N = st.sampled_from([2**14, 2**14 + 1, 2**15 - 1, 2**15, 2**15 + 1, 40000])
+
+
+def outcome(fn, *args):
+    """``("value", x)`` or ``("overflow", mode_indices)``."""
+    try:
+        return "value", fn(*args)
+    except ModeOverflowError as exc:
+        return "overflow", exc.mode_indices
+
+
+def overflowed(fn, *args):
+    """The norm, or ``inf`` when it overflows or raises ModeOverflowError."""
+    kind, val = outcome(fn, *args)
+    return math.inf if kind == "overflow" or not math.isfinite(val) else val
+
+
+@st.composite
+def problems(draw):
+    kind = draw(st.sampled_from(sorted(FAMILIES)))
+    quad = draw(st.sampled_from([2, 3, 257]))
+    n = draw(SMALL_N if quad == 257 else SMALL_N | LARGE_N)
+    if draw(st.booleans()):
+        model = make_sine_spectrum_1d(n, draw(st.sampled_from([1.0, math.pi, 10.0])))
+    else:
+        lam = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n)) if n <= 12 else (
+            np.random.default_rng(n).uniform(1e-3, 1e3, n)
+        )
+        model = make_custom_spectrum(np.sort(lam))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def datum():
+        c = rng.standard_normal(n) * 10.0 ** draw(st.sampled_from([-300, -3, 0, 3, 150, 299]))
+        zero = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.99, 1.0]))
+        c[zero] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[zero]
+        return from_coeffs(model, c)
+
+    # lambda_max T around 710 (elliptic) or lambda_max^2 T around 700
+    # (parabolic) is where the closed forms start to overflow
+    reach = draw(st.sampled_from([1e-3, 1.0, 50.0, 700.0, 720.0, 2000.0]))
+    lam_max = model.lambda_max
+    T = reach / (lam_max * lam_max if kind == "parabolic" else lam_max)
+    if kind == "elliptic":
+        spec = Elliptic(T=T, f=datum(), g=datum())
+    elif kind == "hyperbolic":
+        try:
+            spec = Hyperbolic(T=T, f=datum(), g=datum())
+        except ResonanceError:
+            assume(False)
+    else:
+        spec = Parabolic(T=T, f=datum())
+    return kind, spec, TrajectoryNormSpec(FAMILIES[kind][2], quadrature_points=quad)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstPerTimeReference:
+    @given(problems(), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_traces_bitwise(self, case, frac):
+        kind, spec, _ = case
+        times = (0.0, frac * spec.T, spec.T)
+        calls = {
+            "elliptic": [(elliptic_solution_at, ref_elliptic_solution_at, (spec, t)) for t in times]
+            + [(elliptic_dt_solution_at, ref_elliptic_dt_solution_at, (spec, t)) for t in times],
+            "hyperbolic": [
+                (hyperbolic_solution_at, ref_hyperbolic_solution_at, (spec, t)) for t in times
+            ],
+            "parabolic": [(parabolic_backward_trace, ref_parabolic_backward_trace, (spec,))],
+        }[kind]
+        for new, ref, args in calls:
+            got, want = outcome(new, *args), outcome(ref, *args)
+            assert got[0] == want[0]
+            if got[0] == "overflow":
+                assert got[1] == want[1]
+            else:
+                assert same_bits(got[1].coeffs, want[1].coeffs)
+
+    @given(problems())
+    @settings(max_examples=150, deadline=None)
+    def test_trajectory_norm(self, case):
+        kind, spec, tn = case
+        ref_provider, provider, _ = FAMILIES[kind]
+        want = overflowed(lambda: ref_trajectory_norm(spec, ref_provider(spec), tn))
+        got = overflowed(lambda: trajectory_norm(spec, provider(spec), tn))
+        if math.isinf(want):
+            assert math.isinf(got)
+        else:
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_provider_rows_are_the_traces(self):
+        m = make_custom_spectrum([1.0, 2.5, 4.0])
+        f, g = from_coeffs(m, [1.0, -0.0, 0.3]), from_coeffs(m, [0.0, 2.0, -1.0])
+        ts = np.array([0.0, 0.25, 1.0])
+        e = Elliptic(T=1.0, f=f, g=g)
+        u, du = elliptic_trajectory(e)(ts)
+        assert u.shape == du.shape == (3, 3)
+        for row, t in enumerate(ts):
+            assert same_bits(u[row], elliptic_solution_at(e, t).coeffs)
+            assert same_bits(du[row], elliptic_dt_solution_at(e, t).coeffs)
+        h = Hyperbolic(T=1.0, f=f, g=g)
+        u, _ = hyperbolic_trajectory(h)(ts)
+        for row, t in enumerate(ts):
+            assert same_bits(u[row], hyperbolic_solution_at(h, t).coeffs)
+        p = Parabolic(T=1.0, f=f)
+        u, _ = parabolic_trajectory_from_terminal(p)(ts)
+        assert same_bits(u[0], parabolic_backward_trace(p).coeffs)
+
+    def test_provider_rejects_times_outside(self):
+        m = make_custom_spectrum([1.0])
+        p = Parabolic(T=1.0, f=unit_mode(m, 1))
+        with pytest.raises(ConfigError, match="t = 1.5 outside"):
+            parabolic_trajectory_from_terminal(p)(np.array([0.0, 1.5]))
+        with pytest.raises(ConfigError, match="nan"):
+            parabolic_trajectory_from_terminal(p)(np.array([math.nan]))
+
+    def test_provider_names_modes_over_all_times(self):
+        # cosh(800 t) f passes 1e300 from t of about 0.86 on, cosh(1000 t) f
+        # from about 0.69 on: the block from 0.5 to 1 names both modes
+        m = make_custom_spectrum([1.0, 800.0, 1000.0])
+        p = Elliptic(T=1.0, f=from_coeffs(m, [1.0, 1.0, 1.0]), g=zeros(m))
+        with pytest.raises(ModeOverflowError) as err:
+            elliptic_trajectory(p)(np.linspace(0.5, 1.0, 5))
+        assert err.value.mode_indices == (1, 2)
+        elliptic_trajectory(p)(np.array([0.0, 0.5]))
+
+    def test_hyperbolic_trajectory_is_guarded(self):
+        m = make_custom_spectrum([1.0, 2.0])
+        p = Hyperbolic(T=1.0, f=from_coeffs(m, [0.0, 1e300]), g=from_coeffs(m, [0.0, 0.0]))
+        with pytest.raises(ModeOverflowError) as err:
+            hyperbolic_trajectory(p)(np.array([0.0, 0.5]))
+        assert err.value.mode_indices == (1,)
+
+    def test_vp_weights_before_squaring(self):
+        # du/dt = -lambda^2 u = -1e156 squares past float max, but its
+        # weighted square lambda^4 u^2 / (1 + lambda^2) is about 1e306
+        m = make_custom_spectrum([1e3])
+        p = Parabolic(T=1e-12, f=from_coeffs(m, [1e150]))
+        tn = TrajectoryNormSpec("Vp", quadrature_points=3)
+        want = ref_trajectory_norm(p, ref_parabolic_trajectory(p), tn)
+        assert math.isfinite(want)
+        got = trajectory_norm(p, parabolic_trajectory_from_terminal(p), tn)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_block_memory_is_o_of_n(self):
+        n = 16384
+        m = make_sine_spectrum_1d(n, 1.0)
+        data = from_coeffs(m, np.random.default_rng(0).standard_normal(n))
+        lam_max = m.lambda_max
+        specs = [
+            (Elliptic(T=1.0 / lam_max, f=data, g=data), elliptic_trajectory, "Ve"),
+            (Hyperbolic(T=1.0 / math.pi, f=data, g=data), hyperbolic_trajectory, "Vh"),
+            (Parabolic(T=1.0 / lam_max**2, f=data), parabolic_trajectory_from_terminal, "Vp"),
+        ]
+        for spec, provider, which in specs:
+            traj, tn = provider(spec), TrajectoryNormSpec(which)
+            tracemalloc.start()
+            try:
+                norm = trajectory_norm(spec, traj, tn)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert math.isfinite(norm)
+            assert peak < 8 * 2**20, (which, peak)
