@@ -113,36 +113,81 @@ class ExperimentConfig:
     output: Optional[dict] = None
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return section[key]
+# Required and optional keys of every config object: one row per top-level
+# section, per problem kind, per spectrum basis and per data-source form.  A
+# missing key, or one that its row does not list, is refused.  A generator
+# source takes further keys, which synth_data checks as its parameters.
+CONFIG_KEYS = {
+    ("config", None): (("problem", "spectrum", "schedule"), ("noise", "output")),
+    ("problem", "elliptic"): (("kind", "T", "f", "g"), ()),
+    ("problem", "hyperbolic"): (("kind", "T", "f", "g"), ()),
+    ("problem", "parabolic"): (("kind", "T", "f"), ("gamma", "a2")),
+    ("spectrum", "sine1d"): (("basis",), ("n_modes", "length")),
+    ("spectrum", "sine_rect"): (("basis",), ("nx", "ny", "lx", "ly")),
+    ("spectrum", "custom"): (("basis", "eigenvalues"), ()),
+    ("schedule", None): (("checkpoints",), ("mode", "max_steps", "successive_diff_tol", "scale")),
+    ("noise", None): (("eps", "seed"), ("norm_scale",)),
+    ("output", None): ((), ("format", "path")),
+    ("source", "csv"): (("csv",), ()),
+    ("source", "coeffs"): (("coeffs",), ()),
+    ("source", "generator"): (("generator",), None),
+}
 
 
-def _check_source_files(src) -> None:
-    if not isinstance(src, dict):
-        raise ConfigError(f"data source must be an object, got {type(src).__name__}")
-    if "csv" in src:
-        path = src["csv"]
-        if not os.path.exists(path):
-            raise ConfigError(f"referenced data file does not exist: {path}")
+def _checked(obj, section: str, selector: Optional[str] = None, where: Optional[str] = None):
+    """A copy of the config object ``obj`` after checking its keys against
+    its row of :data:`CONFIG_KEYS`.  The row is picked by the value of the
+    key ``selector`` or, for a data source, by the first form key present.
+    ``where`` names the object in messages (default: ``section``)."""
+    where = where or section
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
+    variants = [v for s, v in CONFIG_KEYS if s == section]
+    variant = None
+    if selector is not None:
+        if selector not in obj:
+            raise ConfigError(f"{where}: missing required key {selector!r}")
+        variant = obj[selector]
+        if variant not in variants:
+            raise ConfigError(f"{where}.{selector} must be {'/'.join(variants)}, got {variant!r}")
+        where = f"{where} ({selector} {variant})"
+    elif variants != [None]:
+        variant = next((v for v in variants if v in obj), None)
+        if variant is None:
+            raise ConfigError(f"{where} needs one of the keys {', '.join(variants)}")
+        where = f"{where} ({variant} source)"
+    required, optional = CONFIG_KEYS[section, variant]
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    unknown = [] if optional is None else [k for k in obj if k not in required + optional]
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key {unknown[0]!r}; it takes {', '.join(required + optional)}"
+        )
+    return dict(obj)
+
+
+def _check_source(src, where: str) -> None:
+    src = _checked(src, "source", where=where)
+    if "csv" in src and not os.path.exists(src["csv"]):
+        raise ConfigError(f"referenced data file does not exist: {src['csv']}")
     if src.get("generator") == "parabolic_terminal" and isinstance(src.get("u0"), dict):
-        _check_source_files(src["u0"])
+        _check_source(src["u0"], f"{where}.u0")
 
 
 def load_config(obj) -> ExperimentConfig:
     """Parse a config from a dict, a JSON string path, or a file path.
 
-    Validation is fail-fast for structure (required sections, known kinds,
-    referenced files); value-level invariants (gamma bounds, resonance) are
-    enforced where the values are used.
+    Validation is fail-fast for structure: every object's keys against
+    :data:`CONFIG_KEYS`, known kinds and bases, referenced files.
+    Value-level invariants (gamma bounds, resonance) are enforced where the
+    values are used.
     """
     if isinstance(obj, (str, os.PathLike)):
         try:
             with open(obj) as fh:
                 data = json.load(fh)
-        except OSError:
-            raise
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{obj}: invalid JSON: {exc}") from None
     elif isinstance(obj, dict):
@@ -150,37 +195,17 @@ def load_config(obj) -> ExperimentConfig:
     else:
         raise ConfigError(f"config must be a path or a dict, got {type(obj).__name__}")
 
-    problem = dict(_require(data, "problem", "config"))
-    spectrum = dict(_require(data, "spectrum", "config"))
-    schedule = dict(_require(data, "schedule", "config"))
-    noise = data.get("noise")
-    output = data.get("output")
-
-    kind = _require(problem, "kind", "problem")
-    if kind not in ("elliptic", "hyperbolic", "parabolic"):
-        raise ConfigError(f"problem.kind must be elliptic/hyperbolic/parabolic, got {kind!r}")
-    _require(problem, "T", "problem")
-    if "z_variant" in problem:
-        raise ConfigError(
-            "problem.z_variant is no longer supported: the hyperbolic iteration "
-            "always uses z = lambda sin(lambda T) (g - cos(lambda T) f)"
-        )
-    _check_source_files(_require(problem, "f", "problem"))
-    if kind in ("elliptic", "hyperbolic"):
-        _check_source_files(_require(problem, "g", "problem"))
-
-    basis = _require(spectrum, "basis", "spectrum")
-    if basis not in ("sine1d", "sine_rect", "custom"):
-        raise ConfigError(f"spectrum.basis must be sine1d/sine_rect/custom, got {basis!r}")
-
-    _require(schedule, "checkpoints", "schedule")
-
-    if noise is not None:
-        noise = dict(noise)
-        _require(noise, "eps", "noise")
-        _require(noise, "seed", "noise")
+    data = _checked(data, "config")
+    problem = _checked(data["problem"], "problem", "kind")
+    for key in ("f", "g"):
+        if key in problem:
+            _check_source(problem[key], f"problem.{key}")
+    spectrum = _checked(data["spectrum"], "spectrum", "basis")
+    schedule = _checked(data["schedule"], "schedule")
+    noise, output = (
+        None if data.get(key) is None else _checked(data[key], key) for key in ("noise", "output")
+    )
     if output is not None:
-        output = dict(output)
         fmt = output.get("format", "csv")
         if fmt not in FORMATS:
             raise ConfigError(f"output.format must be one of {FORMATS}, got {fmt!r}")
@@ -214,24 +239,17 @@ def resolve_source(src: dict, model: SpectrumModel) -> SpectralVec:
     quadrature), ``{"coeffs": [...]}``, and ``{"generator": name, ...}``
     with the generators of :func:`kmiter.gridio.synth_data`; the
     ``parabolic_terminal`` generator takes its ``u0`` as a nested source.
+    Its keys are checked against :data:`CONFIG_KEYS`.
     """
-    if not isinstance(src, dict):
-        raise ConfigError(f"data source must be an object, got {type(src).__name__}")
+    src = _checked(src, "source", where="data source")
     if "csv" in src:
-        gf = read_grid_csv(src["csv"], boundary=src.get("boundary", "error"))
-        return ingest_grid(gf, model)
+        return ingest_grid(read_grid_csv(src["csv"]), model)
     if "coeffs" in src:
         return from_coeffs(model, src["coeffs"])
-    gen = src.get("generator")
-    if gen is None:
-        raise ConfigError(f"data source needs 'generator', 'coeffs' or 'csv': {src!r}")
-    if gen == "zero":
-        return zeros(model)
-    params = {k: v for k, v in src.items() if k != "generator"}
-    if gen == "parabolic_terminal":
-        u0 = params.get("u0")
-        if isinstance(u0, dict):
-            params["u0"] = resolve_source(u0, model)
+    params = src  # a copy, so the generator's name and u0 can be replaced
+    gen = params.pop("generator")
+    if gen == "parabolic_terminal" and isinstance(params.get("u0"), dict):
+        params["u0"] = resolve_source(params["u0"], model)
     return synth_data(gen, model, **params)
 
 
@@ -358,14 +376,23 @@ class TableResult:
 
 
 CONVERGENCE_CHECKPOINTS = (10**2, 10**3, 10**5, 10**6, 10**8, 10**9)
+CONVERGENCE_MODES = (1, 2, 3)
+CONVERGENCE_T = 1.0
 DECAY_CHECKPOINTS = (10, 10**3, 10**4, 10**5, 10**6)
+DECAY_A2 = (8.0, 2.0)
+DECAY_T = 0.0625
+
+
+def _error_table(title: str, configs: dict, checkpoints) -> TableResult:
+    """One row per labelled config: its relative L2 errors at the checkpoints."""
+    runs = (run_experiment(cfg).report.records for cfg in configs.values())
+    rows = tuple(tuple(r.error_vs_reference for r in run if r.k in checkpoints) for run in runs)
+    return TableResult(title, tuple(configs), tuple(int(c) for c in checkpoints), rows)
 
 
 def run_convergence_table(
     n_modes: int = 3,
     checkpoints: tuple[int, ...] = CONVERGENCE_CHECKPOINTS,
-    modes_to_run: tuple[int, ...] = (1, 2, 3),
-    T: float = 1.0,
 ) -> TableResult:
     """Elliptic single-mode convergence table.
 
@@ -374,42 +401,30 @@ def run_convergence_table(
     show how many steps each mode needs.  Closed-form evaluation keeps the
     10^9-step column exact and cheap.
     """
-    model = make_sine_spectrum_1d(max(int(n_modes), max(modes_to_run)), 1.0)
-    rows = []
-    labels = []
-    for k in modes_to_run:
-        cfg = ExperimentConfig(
+    n = max(int(n_modes), max(CONVERGENCE_MODES))
+    configs = {
+        f"mode {k}": ExperimentConfig(
             problem={
                 "kind": "elliptic",
-                "T": T,
+                "T": CONVERGENCE_T,
                 "f": {"generator": "zero"},
-                "g": {"generator": "unit_mode", "k": int(k)},
+                "g": {"generator": "unit_mode", "k": k},
             },
-            spectrum={"basis": "sine1d", "n_modes": model.n_modes, "length": 1.0},
+            spectrum={"basis": "sine1d", "n_modes": n, "length": 1.0},
             schedule={"checkpoints": list(checkpoints), "mode": "closed_form"},
         )
-        result = run_experiment(cfg)
-        errs = tuple(
-            r.error_vs_reference for r in result.report.records if r.k in checkpoints
-        )
-        rows.append(errs)
-        labels.append(f"mode {k}")
-    return TableResult(
-        title="Elliptic reconstruction: relative L2 error by step count",
-        row_labels=tuple(labels),
-        checkpoints=tuple(int(c) for c in checkpoints),
-        errors=tuple(rows),
+        for k in CONVERGENCE_MODES
+    }
+    return _error_table(
+        "Elliptic reconstruction: relative L2 error by step count", configs, checkpoints
     )
 
 
 def run_decay_table(
     nx: int = 12,
     ny: int = 12,
-    T: float = 0.0625,
     gamma: float = 2.0,
-    a2_values: tuple[float, ...] = (8.0, 2.0),
     checkpoints: tuple[int, ...] = DECAY_CHECKPOINTS,
-    profile: Optional[dict] = None,
 ) -> TableResult:
     """Backward-heat comparison for two diffusion constants.
 
@@ -420,46 +435,30 @@ def run_decay_table(
     at every checkpoint; exact percentages depend entirely on the choice of
     profile and are not meaningful beyond that ordering.
     """
-    prof = {"generator": "piecewise_profile"}
-    if profile:
-        prof.update(profile)
-    rows = []
-    labels = []
-    for a2 in a2_values:
-        cfg = ExperimentConfig(
+    u0 = {"generator": "piecewise_profile"}
+    configs = {
+        f"a^2 = {a2:g}": ExperimentConfig(
             problem={
                 "kind": "parabolic",
-                "T": T,
-                "a2": float(a2),
+                "T": DECAY_T,
+                "a2": a2,
                 "gamma": float(gamma),
-                "f": {
-                    "generator": "parabolic_terminal",
-                    "u0": prof,
-                    "T": T,
-                    "a2": float(a2),
-                },
+                "f": {"generator": "parabolic_terminal", "u0": u0, "T": DECAY_T, "a2": a2},
             },
-            spectrum={
-                "basis": "sine_rect", "nx": int(nx), "ny": int(ny), "lx": 1.0, "ly": 1.0,
-            },
+            spectrum={"basis": "sine_rect", "nx": int(nx), "ny": int(ny), "lx": 1.0, "ly": 1.0},
             schedule={"checkpoints": list(checkpoints), "mode": "closed_form"},
         )
-        result = run_experiment(cfg)
-        errs = tuple(
-            r.error_vs_reference for r in result.report.records if r.k in checkpoints
-        )
-        rows.append(errs)
-        labels.append(f"a^2 = {a2:g}")
-    return TableResult(
-        title="Backward heat: relative L2 error by step count",
-        row_labels=tuple(labels),
-        checkpoints=tuple(int(c) for c in checkpoints),
-        errors=tuple(rows),
-    )
+        for a2 in DECAY_A2
+    }
+    return _error_table("Backward heat: relative L2 error by step count", configs, checkpoints)
 
 
 # ---------------------------------------------------------------------------
 # cutoff study (noisy regularization pipeline)
+
+
+CUTOFF_T = 0.25
+CUTOFF_SOURCE_Q = 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -474,10 +473,8 @@ class CutoffStudyResult:
 
 def run_cutoff_study(
     n_modes: int = 16,
-    T: float = 0.25,
     eps: float = 1e-4,
     seed: int = 0,
-    source_q: float = 1.0,
 ) -> CutoffStudyResult:
     """Noisy elliptic reconstruction with spectral-cutoff selection.
 
@@ -490,21 +487,18 @@ def run_cutoff_study(
     model = make_sine_spectrum_1d(int(n_modes), 1.0)
     f = zeros(model)
     g = resolve_source({"generator": "piecewise_profile"}, model)
-    clean = Elliptic(T=float(T), f=f, g=g)
+    clean = Elliptic(T=CUTOFF_T, f=f, g=g)
     fac_clean = build_factors(clean)
     phibar = elliptic_dt_solution_at(clean, clean.T)
 
     half = float(eps) / math.sqrt(2.0)
     f_eps = add_noise(f, NoiseSpec(eps=half, seed=int(seed)))
     g_eps = add_noise(g, NoiseSpec(eps=half, seed=int(seed) + 1))
-    fac_noisy = build_factors(Elliptic(T=float(T), f=f_eps, g=g_eps))
+    fac_noisy = build_factors(Elliptic(T=CUTOFF_T, f=f_eps, g=g_eps))
 
     s = -0.5
-    source = SourceCondition(
-        M=source_constant(phibar, power_source_function(source_q), s),
-        G=power_source_function(source_q),
-        s=s,
-    )
+    G = power_source_function(CUTOFF_SOURCE_Q)
+    source = SourceCondition(M=source_constant(phibar, G, s), G=G, s=s)
     eps_prime = measure_eps_prime(fac_clean, fac_noisy, s)
     plan = RegularizerPlan(n=float(model.eigenvalues[0]), eps_prime=eps_prime, source=source)
 

@@ -15,8 +15,12 @@ Subcommands
 ``demo-illposed``
     Data-vs-solution-norm amplification table mode by mode.
 
-A JSON config (``--config``) supplies anything the flags do not; flags win
-over config values.  Without ``--out`` reports go to stdout; with it they
+Each subcommand is declared once, in :data:`COMMANDS`: its help text, the
+flags it reads and its runner.  A flag a subcommand does not read is a usage
+error.  A JSON config (``--config``) supplies anything the flags do not;
+flags win over config values, and the config's ``problem.kind`` must be the
+subcommand.  ``--steps N`` keeps the checkpoints up to N and appends N when
+it is not one of them.  Without ``--out`` reports go to stdout; with it they
 are written atomically to the given path.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 numeric failure
@@ -27,9 +31,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import bench
 from .errors import ConfigError, KmiterError, NumericError
@@ -43,104 +48,67 @@ EXIT_IO = 4
 
 DEFAULT_CHECKPOINTS = (10, 100, 1000, 10**4, 10**5, 10**6)
 
+FLAGS = {
+    "config": {"help": "JSON experiment config file"},
+    "modes": {"type": int, "help": "number of modes (overrides config)"},
+    "steps": {"type": int, "help": "step budget: the checkpoints up to it, then the budget"},
+    "eps": {"type": float, "help": "noise level (enables the noise stage)"},
+    "seed": {"type": int, "help": "noise seed"},
+    "gamma": {"type": float, "help": "parabolic relaxation weight"},
+    "kind": {"choices": ["elliptic", "hyperbolic", "parabolic"], "default": "elliptic"},
+    "out": {"help": "output path (stdout when omitted)"},
+    "format": {"choices": list(bench.FORMATS), "help": "report format"},
+}
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON experiment config file")
-    p.add_argument("--modes", type=int, help="number of modes (overrides config)")
-    p.add_argument("--steps", type=int, help="step budget; checkpoints are trimmed to it")
-    p.add_argument("--seed", type=int, help="noise seed")
-    p.add_argument("--eps", type=float, help="noise level (enables the noise stage)")
-    p.add_argument("--gamma", type=float, help="parabolic relaxation weight")
-    p.add_argument("--out", help="output path (stdout when omitted)")
-    p.add_argument(
-        "--format", choices=list(bench.FORMATS), default=None, help="report format"
-    )
+
+def _trim_checkpoints(checkpoints, steps: Optional[int]) -> Optional[tuple]:
+    """The ``--steps`` rule: the checkpoints up to ``steps``, then ``steps``
+    itself when it is not one of them; None when no budget was given."""
+    if steps is None:
+        return None
+    cps = tuple(k for k in checkpoints if k <= steps)
+    return cps if cps and cps[-1] == steps else cps + (steps,)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kmiter",
-        description="Spectral fixed-point reconstruction for ill-posed evolution problems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("elliptic", "Cauchy-data reconstruction of the far-side Neumann trace"),
-        ("hyperbolic", "initial-velocity reconstruction from displacement data"),
-        ("parabolic", "backward-heat reconstruction of the initial state"),
-        ("table2", "elliptic per-mode convergence table"),
-        ("table1", "backward-heat decay comparison (a^2 = 8 vs 2)"),
-        ("regularize", "noisy pipeline with spectral-cutoff selection"),
-        ("demo-illposed", "data-vs-solution amplification by mode"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
-        if name == "demo-illposed":
-            p.add_argument(
-                "--kind",
-                choices=["elliptic", "hyperbolic", "parabolic"],
-                default="elliptic",
-            )
-    return parser
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose flag was given."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
 # default experiment configs
 
 
-def _default_problem(kind: str, args) -> dict:
-    modes = args.modes if args.modes is not None else 16
-    if kind == "elliptic":
-        return {
-            "problem": {
-                "kind": "elliptic",
-                "T": 1.0,
-                "f": {"generator": "zero"},
-                "g": {"generator": "unit_mode", "k": 1},
-            },
-            "spectrum": {"basis": "sine1d", "n_modes": modes, "length": 1.0},
-        }
-    if kind == "hyperbolic":
-        # T = 1/pi puts the phases at lambda_j T = j, integers staying well
-        # away from the resonant multiples of pi.
-        return {
-            "problem": {
-                "kind": "hyperbolic",
-                "T": 1.0 / math.pi,
-                "f": {"generator": "zero"},
-                "g": {"generator": "unit_mode", "k": 1},
-            },
-            "spectrum": {"basis": "sine1d", "n_modes": modes, "length": 1.0},
+def _default_config(kind: str) -> dict:
+    if kind == "parabolic":
+        terminal = {"u0": {"generator": "piecewise_profile"}, "T": 0.0625}
+        problem = {"T": 0.0625, "gamma": 1.0, "f": {"generator": "parabolic_terminal", **terminal}}
+    else:
+        # T = 1/pi puts the hyperbolic phases at lambda_j T = j, integers
+        # staying well away from the resonant multiples of pi.
+        problem = {
+            "T": 1.0 / math.pi if kind == "hyperbolic" else 1.0,
+            "f": {"generator": "zero"},
+            "g": {"generator": "unit_mode", "k": 1},
         }
     return {
-        "problem": {
-            "kind": "parabolic",
-            "T": 0.0625,
-            "gamma": 1.0,
-            "f": {
-                "generator": "parabolic_terminal",
-                "u0": {"generator": "piecewise_profile"},
-                "T": 0.0625,
-            },
-        },
-        "spectrum": {"basis": "sine1d", "n_modes": modes, "length": 1.0},
+        "problem": {"kind": kind, **problem},
+        "spectrum": {"basis": "sine1d", "n_modes": 16, "length": 1.0},
+        "schedule": {"checkpoints": list(DEFAULT_CHECKPOINTS)},
     }
 
 
 def _assemble_config(kind: str, args) -> bench.ExperimentConfig:
     if args.config:
         raw = bench.load_config(args.config)
-        data = {
-            "problem": dict(raw.problem),
-            "spectrum": dict(raw.spectrum),
-            "schedule": dict(raw.schedule),
-        }
-        if raw.noise is not None:
-            data["noise"] = dict(raw.noise)
-        if raw.output is not None:
-            data["output"] = dict(raw.output)
+        if raw.problem["kind"] != kind:
+            raise ConfigError(
+                f"{args.config}: problem.kind is {raw.problem['kind']!r}, "
+                f"but the subcommand is {kind!r}"
+            )
+        data = {k: v for k, v in dataclasses.asdict(raw).items() if v is not None}
     else:
-        data = _default_problem(kind, args)
-        data["schedule"] = {"checkpoints": list(DEFAULT_CHECKPOINTS)}
+        data = _default_config(kind)
 
     if args.modes is not None:
         spec = data["spectrum"]
@@ -148,13 +116,12 @@ def _assemble_config(kind: str, args) -> bench.ExperimentConfig:
             spec["nx"] = spec["ny"] = args.modes
         else:
             spec["n_modes"] = args.modes
-    if args.gamma is not None:
+    if getattr(args, "gamma", None) is not None:  # parabolic only
         data["problem"]["gamma"] = args.gamma
     if args.steps is not None:
-        cps = [k for k in data["schedule"]["checkpoints"] if k <= args.steps]
-        if not cps or cps[-1] != args.steps:
-            cps.append(args.steps)
-        data["schedule"]["checkpoints"] = cps
+        data["schedule"]["checkpoints"] = _trim_checkpoints(
+            data["schedule"]["checkpoints"], args.steps
+        )
         data["schedule"].pop("max_steps", None)
     if args.eps is not None:
         noise = data.setdefault("noise", {})
@@ -178,42 +145,31 @@ def _deliver(text: str, out: Optional[str]) -> None:
 # subcommand bodies
 
 
-def _cmd_experiment(kind: str, args) -> int:
+def _cmd_experiment(kind: str, args) -> None:
     cfg = _assemble_config(kind, args)
-    fmt = args.format or (cfg.output or {}).get("format", "csv")
-    result = bench.run_experiment(
-        dataclasses.replace(cfg, output=None)  # emission handled below
-    )
-    _deliver(bench.render_report(result.report, fmt), args.out or (cfg.output or {}).get("path"))
-    return EXIT_OK
+    output = cfg.output or {}
+    # the report is emitted below, where the flags can override its config
+    result = bench.run_experiment(dataclasses.replace(cfg, output=None))
+    text = bench.render_report(result.report, args.format or output.get("format", "csv"))
+    _deliver(text, args.out or output.get("path"))
 
 
-def _cmd_table2(args) -> int:
-    kwargs = {}
-    if args.modes is not None:
-        kwargs["n_modes"] = args.modes
-    if args.steps is not None:
-        kwargs["checkpoints"] = tuple(
-            k for k in bench.CONVERGENCE_CHECKPOINTS if k <= args.steps
-        ) or (args.steps,)
-    table = bench.run_convergence_table(**kwargs)
+def _cmd_table2(args) -> None:
+    table = bench.run_convergence_table(**_given(
+        n_modes=args.modes,
+        checkpoints=_trim_checkpoints(bench.CONVERGENCE_CHECKPOINTS, args.steps),
+    ))
     _deliver(bench.render_table(table, args.format or "markdown"), args.out)
-    return EXIT_OK
 
 
-def _cmd_table1(args) -> int:
-    kwargs = {}
-    if args.modes is not None:
-        kwargs["nx"] = kwargs["ny"] = args.modes
-    if args.gamma is not None:
-        kwargs["gamma"] = args.gamma
-    if args.steps is not None:
-        kwargs["checkpoints"] = tuple(
-            k for k in bench.DECAY_CHECKPOINTS if k <= args.steps
-        ) or (args.steps,)
-    table = bench.run_decay_table(**kwargs)
+def _cmd_table1(args) -> None:
+    table = bench.run_decay_table(**_given(
+        nx=args.modes,
+        ny=args.modes,
+        gamma=args.gamma,
+        checkpoints=_trim_checkpoints(bench.DECAY_CHECKPOINTS, args.steps),
+    ))
     _deliver(bench.render_table(table, args.format or "markdown"), args.out)
-    return EXIT_OK
 
 
 CUTOFF_COLUMNS = (
@@ -260,14 +216,9 @@ def _render_cutoff_study(study, fmt: str) -> str:
     )
 
 
-def _cmd_regularize(args) -> int:
-    study = bench.run_cutoff_study(
-        n_modes=args.modes if args.modes is not None else 16,
-        eps=args.eps if args.eps is not None else 1e-4,
-        seed=args.seed if args.seed is not None else 0,
-    )
+def _cmd_regularize(args) -> None:
+    study = bench.run_cutoff_study(**_given(n_modes=args.modes, eps=args.eps, seed=args.seed))
     _deliver(_render_cutoff_study(study, args.format or "markdown"), args.out)
-    return EXIT_OK
 
 
 DEMO_COLUMNS = (
@@ -279,7 +230,7 @@ DEMO_COLUMNS = (
 )
 
 
-def _cmd_demo_illposed(args) -> int:
+def _cmd_demo_illposed(args) -> None:
     modes = args.modes if args.modes is not None else 8
     T = 1.0 / math.pi if args.kind == "hyperbolic" else 1.0
     model = make_sine_spectrum_1d(modes, 1.0)
@@ -307,24 +258,70 @@ def _cmd_demo_illposed(args) -> int:
         md_rows=[c + ["yes" if r.overflow else ""] for c, r in zip(cells, rows)],
     )
     _deliver(text, args.out)
-    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+
+class Command(NamedTuple):
+    """One subcommand: its help text, the flags it reads and its runner."""
+
+    help: str
+    flags: tuple[str, ...]
+    run: Callable[[argparse.Namespace], None]
+
+
+EXPERIMENT_FLAGS = ("config", "modes", "steps", "eps", "seed", "out", "format")
+
+COMMANDS = {
+    "elliptic": Command(
+        "Cauchy-data reconstruction of the far-side Neumann trace",
+        EXPERIMENT_FLAGS, functools.partial(_cmd_experiment, "elliptic"),
+    ),
+    "hyperbolic": Command(
+        "initial-velocity reconstruction from displacement data",
+        EXPERIMENT_FLAGS, functools.partial(_cmd_experiment, "hyperbolic"),
+    ),
+    "parabolic": Command(
+        "backward-heat reconstruction of the initial state",
+        EXPERIMENT_FLAGS + ("gamma",), functools.partial(_cmd_experiment, "parabolic"),
+    ),
+    "table2": Command(
+        "elliptic per-mode convergence table", ("modes", "steps", "out", "format"), _cmd_table2
+    ),
+    "table1": Command(
+        "backward-heat decay comparison (a^2 = 8 vs 2)",
+        ("modes", "steps", "gamma", "out", "format"), _cmd_table1,
+    ),
+    "regularize": Command(
+        "noisy pipeline with spectral-cutoff selection",
+        ("modes", "eps", "seed", "out", "format"), _cmd_regularize,
+    ),
+    "demo-illposed": Command(
+        "data-vs-solution amplification by mode", ("modes", "kind", "out", "format"),
+        _cmd_demo_illposed,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="kmiter",
+        description="Spectral fixed-point reconstruction for ill-posed evolution problems.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+    return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("elliptic", "hyperbolic", "parabolic"):
-            return _cmd_experiment(args.command, args)
-        if args.command == "table2":
-            return _cmd_table2(args)
-        if args.command == "table1":
-            return _cmd_table1(args)
-        if args.command == "regularize":
-            return _cmd_regularize(args)
-        if args.command == "demo-illposed":
-            return _cmd_demo_illposed(args)
-        parser.error(f"unknown command {args.command!r}")
+        COMMANDS[args.command].run(args)
     except NumericError as exc:
         print(f"kmiter: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -34,6 +34,7 @@ from .spectral import (
     SpectralVec,
     SpectrumModel,
     unit_mode,
+    zeros,
 )
 
 __all__ = [
@@ -317,6 +318,8 @@ def _profile_1d(xi: np.ndarray, smooth_amplitude, rough_amplitude, rough_frequen
 def synth_data(name: str, model: SpectrumModel, **params) -> SpectralVec:
     """Named data generators for experiments.
 
+    ``zero()``
+        The zero vector.
     ``unit_mode(k)``
         Unit coefficient on the k-th mode position.
     ``parabolic_terminal(u0, T, a2=1.0)``
@@ -330,6 +333,10 @@ def synth_data(name: str, model: SpectrumModel, **params) -> SpectralVec:
         are set exactly to zero, and the same profile is used as a product
         over both axes on a rectangle.
     """
+    if name == "zero":
+        _no_extras(name, params)
+        return zeros(model)
+
     if name == "unit_mode":
         try:
             k = params.pop("k")

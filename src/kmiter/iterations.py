@@ -22,7 +22,7 @@ Closed-form evaluation (geometric sum) and literal stepwise iteration are
 both provided; they agree to rounding and the stepwise path exists mainly to
 validate the recursion and the stopping rules.  Each report takes the norm
 weights and the reference norm once, and a closed-form report also log|F|;
-a closed-form checkpoint then costs two exp and two expm1 over the modes
+a closed-form checkpoint then costs two exp and one expm1 over the modes
 plus a few elementwise passes, and a step at most four elementwise passes
 and one dot product through buffers allocated once.  Memory is O(N).
 """
@@ -35,8 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateComplementError, ModeOverflowError, describe_modes
-from .problems import Elliptic, Hyperbolic, Parabolic, ProblemSpec
+from .errors import ConfigError, DegenerateComplementError, describe_modes
+from .problems import Elliptic, Hyperbolic, Parabolic, ProblemSpec, _guard_overflow
 from .spectral import SpectralVec, SpectrumModel, scale_weights
 
 __all__ = [
@@ -117,19 +117,14 @@ def _strict_gamma_status(gamma: float, lam_min: float, T: float) -> str:
     return "holds" if gamma < limit else "violated"
 
 
-def build_factors(spec: ProblemSpec, model: Optional[SpectrumModel] = None) -> IterationFactors:
-    """Assemble the per-mode multipliers F and affine term z for a problem.
-
-    ``model`` defaults to the model the problem data lives over; passing one
-    explicitly is only a consistency assertion.
+def build_factors(spec: ProblemSpec) -> IterationFactors:
+    """Assemble the per-mode multipliers F and affine term z for a problem,
+    over the model its data lives over.
 
     The hyperbolic z_j = lambda_j sin(lambda_j T) (g_j - cos(lambda_j T) f_j)
     makes the fixed point the initial velocity.
     """
-    if model is None:
-        model = spec.model
-    elif model != spec.model:
-        raise ConfigError("explicit model disagrees with the model of the problem data")
+    model = spec.model
     lam = model.eigenvalues
     T = spec.T
 
@@ -187,20 +182,29 @@ def _log_factor(fac: IterationFactors) -> tuple[np.ndarray, np.ndarray]:
         return np.log1p(-np.where(neg, 1.0 + fac.factors, fac.complements)), neg
 
 
+def _factor_power(logF: np.ndarray, neg: np.ndarray, k: int) -> np.ndarray:
+    """F^k per mode: exp(k log|F|), negated where F < 0 and k is odd."""
+    if k == 0:
+        return np.ones_like(logF)
+    Fk = np.exp(k * logF)
+    if k % 2 and neg.any():
+        np.negative(Fk, out=Fk, where=neg)
+    return Fk
+
+
 def _power(logF: np.ndarray, neg: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(F^k, 1 - F^k) per mode, accurate also when F is nearly 1.
 
-    F^k = exp(k log|F|) and 1 - F^k = -expm1(k log|F|); where F < 0 and k
-    is odd, F^k = -|F|^k and 1 - F^k = 1 + |F|^k instead.
+    1 - F^k = -expm1(k log|F|); where F < 0 and k is odd, F^k = -|F|^k and
+    1 - F^k = 1 + |F|^k instead.
     """
+    Fk = _factor_power(logF, neg, k)
     if k == 0:
-        return np.ones_like(logF), np.zeros_like(logF)
+        return Fk, np.zeros_like(logF)
     t = k * logF  # log of |F|^k, in [-inf, 0]
-    Fk = np.exp(t)
     omFk = np.negative(np.expm1(t, out=t), out=t)
     if k % 2 and neg.any():
-        np.add(Fk, 1.0, out=omFk, where=neg)
-        np.negative(Fk, out=Fk, where=neg)
+        np.subtract(1.0, Fk, out=omFk, where=neg)
     return Fk, omFk
 
 
@@ -235,13 +239,7 @@ def fixed_point(fac: IterationFactors) -> SpectralVec:
         )
     with np.errstate(over="ignore"):
         c = fac.z.coeffs / safe
-    bad = np.flatnonzero(~np.isfinite(c) | (np.abs(c) > 1e300))
-    if bad.size:
-        raise ModeOverflowError(
-            f"fixed point exceeds the 1e300 overflow guard at {describe_modes(bad)}",
-            mode_indices=tuple(bad.tolist()),
-        )
-    return SpectralVec(c, fac.model)
+    return SpectralVec(_guard_overflow(c, "fixed point"), fac.model)
 
 
 def iterate_closed_form(fac: IterationFactors, phi0: SpectralVec, k: int) -> SpectralVec:
@@ -390,7 +388,9 @@ def iterate_stepwise(
 ) -> IterationReport:
     """Run the literal recursion phi <- F phi + z, recording checkpoints.
 
-    Stops early once the successive difference drops below the tolerance
+    The step the run ends on is recorded too, checkpoint or not, so the
+    last record is at ``final_k`` as in :func:`report_closed_form`.  Stops
+    early once the successive difference drops below the tolerance
     (when one is set); if the budget and the tolerance trigger on the same
     step, the budget wins and the reason reads ``"max_steps"``.  An exactly
     stationary iterate (diff == 0) always stops, tolerance or not, since
@@ -400,7 +400,7 @@ def iterate_stepwise(
         raise ConfigError("phi0 must live over the model of the factors")
     stop = schedule.stop
     s = stop.scale if stop.scale is not None else default_scale(fac.kind)
-    F, z, tol = fac.factors, fac.z.coeffs, stop.successive_diff_tol
+    F, z, tol, budget = fac.factors, fac.z.coeffs, stop.successive_diff_tol, stop.max_steps
     norm, error = _scale_norm(fac.model, s), _error_vs(reference)
     wanted = set(schedule.checkpoints)
 
@@ -415,20 +415,17 @@ def iterate_stepwise(
     # two iterate buffers swapped every step, plus one for the difference
     phi = phi0.coeffs.copy()
     new, d = np.empty_like(phi), np.empty_like(phi)
-    final_k = stop.max_steps
-    for k in range(1, stop.max_steps + 1):
+    for k in range(1, budget + 1):
         np.multiply(F, phi, out=new)
         new += z
         diff = norm(np.subtract(new, phi, out=d))
         phi, new = new, phi
-        if k in wanted:
+        last = k == budget or diff == 0.0 or (tol > 0.0 and diff < tol)
+        if last or k in wanted:
             snapshot(k, phi, diff)
-        if diff == 0.0 or (tol > 0.0 and diff < tol):
-            final_k = k
-            if k not in wanted:
-                snapshot(k, phi, diff)
+        if last:
             break
-    return _report(fac.kind, s, records, final_k, stop)
+    return _report(fac.kind, s, records, k, stop)
 
 
 def report_closed_form(
@@ -461,7 +458,7 @@ def report_closed_form(
     records: list[CheckpointRecord] = []
     final_k = stop.max_steps
     for k in checkpoints:  # one row of O(N) work each, never a (K x N) array
-        Fkm1, _ = _power(*log_factor, k - 1)
+        Fkm1 = _factor_power(*log_factor, k - 1)
         Fk, phi = _iterate(fac, phi0, k, log_factor, safe_complement)
         diff = norm(np.multiply(Fkm1, w, out=Fkm1))
         records.append(CheckpointRecord(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,83 @@ class TestLoadConfig:
         assert cfg.output["path"] == "r.csv"
 
 
+    PARABOLIC = {
+        "problem": {"kind": "parabolic", "T": 0.1, "f": {"coeffs": [1.0]}},
+        "spectrum": {"basis": "sine1d"},
+        "schedule": {"checkpoints": [10]},
+        "noise": {"eps": 1e-3, "seed": 0},
+        "output": {"format": "csv"},
+    }
+
+    def changed(self, path, **keys):
+        data = json.loads(json.dumps(self.PARABOLIC))
+        obj = data
+        for key in path:
+            obj = obj[key]
+        obj.update(keys)
+        return data
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            ((), "config"),
+            (("problem",), "problem (kind parabolic)"),
+            (("problem", "f"), "problem.f (coeffs source)"),
+            (("spectrum",), "spectrum (basis sine1d)"),
+            (("schedule",), "schedule"),
+            (("noise",), "noise"),
+            (("output",), "output"),
+        ],
+    )
+    def test_unknown_key_in_each_section(self, path, where):
+        load_config(self.changed(path))
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: unknown key 'bogus'")):
+            load_config(self.changed(path, bogus=1))
+
+    @pytest.mark.parametrize(
+        "path, keys, refused",
+        [
+            # keys of another kind, basis or source form
+            (
+                ("problem",),
+                {"g": {"generator": "zero"}},
+                "problem (kind parabolic): unknown key 'g'",
+            ),
+            (("spectrum",), {"nx": 4}, "spectrum (basis sine1d): unknown key 'nx'"),
+            (
+                ("spectrum",),
+                {"basis": "custom", "eigenvalues": [1.0], "n_modes": 3},
+                "spectrum (basis custom): unknown key 'n_modes'",
+            ),
+            (
+                ("problem", "f"),
+                {"generator": "zero"},
+                "problem.f (coeffs source): unknown key 'generator'",
+            ),
+            # the grid reader's boundary policy is not a config key
+            (
+                ("problem",),
+                {"f": {"csv": "samples.csv", "boundary": "warn"}},
+                "problem.f (csv source): unknown key 'boundary'",
+            ),
+            # a tolerance is successive_diff_tol
+            (("schedule",), {"tol": 1e-6}, "schedule: unknown key 'tol'"),
+        ],
+    )
+    def test_key_the_run_would_not_read(self, path, keys, refused):
+        with pytest.raises(ConfigError, match=re.escape(refused)):
+            load_config(self.changed(path, **keys))
+
+    def test_custom_basis_requires_eigenvalues(self):
+        with pytest.raises(ConfigError, match="'eigenvalues'"):
+            load_config(self.changed(("spectrum",), basis="custom"))
+
+    def test_source_needs_a_form(self):
+        data = self.changed(("problem",), f={"samples": [0.0]})
+        with pytest.raises(ConfigError, match="problem.f needs one of the keys csv, coeffs"):
+            load_config(data)
+
+
 class TestBuildModel:
     def test_sine1d_defaults(self):
         model = build_model({"basis": "sine1d"})
@@ -285,6 +363,10 @@ class TestResolveSource:
     def test_rejects_non_dict(self):
         with pytest.raises(ConfigError, match="object"):
             resolve_source("zero", self.model)
+
+    def test_zero_generator_takes_no_parameters(self):
+        with pytest.raises(ConfigError, match="zero got unexpected parameters"):
+            resolve_source({"generator": "zero", "k": 1}, self.model)
 
     def test_rejects_unrecognized_form(self):
         with pytest.raises(ConfigError, match="generator"):
@@ -780,7 +862,7 @@ class TestDeterminism:
 
 class TestCutoffStudy:
     def setup_method(self):
-        self.study = run_cutoff_study(n_modes=16, T=0.25, eps=1e-4, seed=0)
+        self.study = run_cutoff_study(n_modes=16, eps=1e-4, seed=0)
 
     def test_noise_was_measured(self):
         assert self.study.eps_prime > 0.0
@@ -798,6 +880,6 @@ class TestCutoffStudy:
         assert min(bounds) < bounds[-1]
 
     def test_deterministic(self):
-        again = run_cutoff_study(n_modes=16, T=0.25, eps=1e-4, seed=0)
+        again = run_cutoff_study(n_modes=16, eps=1e-4, seed=0)
         assert again.curve == self.study.curve
         assert again.selection == self.study.selection

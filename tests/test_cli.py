@@ -12,6 +12,7 @@ import pytest
 
 from kmiter import ConfigError, run_cutoff_study
 from kmiter.cli import (
+    COMMANDS,
     DEFAULT_CHECKPOINTS,
     EXIT_CONFIG,
     EXIT_IO,
@@ -19,6 +20,7 @@ from kmiter.cli import (
     EXIT_OK,
     _cmd_demo_illposed,
     _render_cutoff_study,
+    build_parser,
     main,
 )
 
@@ -152,6 +154,29 @@ class TestConfigPrecedence:
         assert dest.exists()
         assert f"wrote {dest}" in out
 
+    def test_config_of_another_kind_refused(self, capsys, tmp_path):
+        path = self.write_config(tmp_path)
+        for sub in ("hyperbolic", "parabolic"):
+            code, out, err = run_cli(capsys, sub, "--config", str(path))
+            assert code == EXIT_CONFIG
+            assert out == ""
+            assert "problem.kind" in err and "'elliptic'" in err
+
+    def test_modes_on_custom_basis_refused(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, spectrum={"basis": "custom", "eigenvalues": [1.0, 2.0]})
+        code, _, _ = run_cli(capsys, "elliptic", "--config", str(path))
+        assert code == EXIT_OK
+        code, _, err = run_cli(capsys, "elliptic", "--config", str(path), "--modes", "4")
+        assert code == EXIT_CONFIG
+        assert "'n_modes'" in err
+
+    def test_unknown_key_refused(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, schedule={"checkpoints": [10], "tol": 1e-6})
+        code, out, err = run_cli(capsys, "elliptic", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "schedule" in err and "'tol'" in err
+
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "elliptic", "--config", str(tmp_path / "no.json"))
         assert code == EXIT_IO
@@ -221,6 +246,55 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+class ReadRecorder(argparse.Namespace):
+    """A namespace that notes the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_") and name != "reads":
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestCommandTable:
+    COMMON = ("config", "modes", "steps", "eps", "seed", "gamma", "out", "format")
+    EXPERIMENT = {"config", "modes", "steps", "eps", "seed", "out", "format"}
+    TAKES = {
+        "elliptic": EXPERIMENT,
+        "hyperbolic": EXPERIMENT,
+        "parabolic": EXPERIMENT | {"gamma"},
+        "table2": {"modes", "steps", "out", "format"},
+        "table1": {"modes", "steps", "gamma", "out", "format"},
+        "regularize": {"modes", "eps", "seed", "out", "format"},
+        "demo-illposed": {"modes", "kind", "out", "format"},
+    }
+
+    def test_parser_takes_exactly_the_listed_flags(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
+        assert taken == self.TAKES
+        assert sum(map(len, taken.values())) == 40
+
+    @pytest.mark.parametrize("name", list(TAKES))
+    def test_runner_reads_every_flag_it_takes(self, capsys, name):
+        args = build_parser().parse_args([name], namespace=ReadRecorder())
+        args.reads.clear()
+        COMMANDS[name].run(args)
+        assert capsys.readouterr().out
+        assert set(COMMANDS[name].flags) <= args.reads
+
+    @pytest.mark.parametrize("name", list(TAKES))
+    def test_other_common_flags_exit_2(self, capsys, name):
+        for flag in sorted(set(self.COMMON) - self.TAKES[name]):
+            with pytest.raises(SystemExit) as exc:
+                main([name, f"--{flag}", "1"])
+            assert exc.value.code == 2, flag
+            assert f"--{flag}" in capsys.readouterr().err
+
+
 class TestTableCommands:
     def test_table2_markdown_default(self, capsys):
         code, out, _ = run_cli(capsys, "table2")
@@ -237,6 +311,18 @@ class TestTableCommands:
         assert float(lines[1].split(",")[1]) == pytest.approx(
             oracles.TANH_PI_200, rel=1e-5
         )
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (("table2", "--steps", "500"), "run,100,500"),
+            (("table1", "--steps", "500"), "run,10,500"),
+        ],
+    )
+    def test_steps_appended_when_not_a_checkpoint(self, capsys, argv, header):
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        assert out.split("\n")[0] == header
 
     @pytest.mark.parametrize(
         "argv", [("table2", "--modes", "256"), ("elliptic", "--modes", "300")]
