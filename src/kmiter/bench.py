@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_number
 from .gridio import ingest_grid, read_grid_csv, synth_data
 from .iterations import (
     CheckpointRecord,
@@ -180,9 +180,10 @@ def load_config(obj) -> ExperimentConfig:
     """Parse a config from a dict, a JSON string path, or a file path.
 
     Validation is fail-fast for structure: every object's keys against
-    :data:`CONFIG_KEYS`, known kinds and bases, referenced files.
-    Value-level invariants (gamma bounds, resonance) are enforced where the
-    values are used.
+    :data:`CONFIG_KEYS`, known kinds and bases, referenced files, and the
+    checkpoints as integers.  Other values are converted, and a value of
+    the wrong type refused, where they are used; so are value-level
+    invariants (gamma bounds, resonance).
     """
     if isinstance(obj, (str, os.PathLike)):
         try:
@@ -202,6 +203,8 @@ def load_config(obj) -> ExperimentConfig:
             _check_source(problem[key], f"problem.{key}")
     spectrum = _checked(data["spectrum"], "spectrum", "basis")
     schedule = _checked(data["schedule"], "schedule")
+    # read as step counts now: the --steps flag compares them
+    schedule["checkpoints"] = _checkpoints(schedule["checkpoints"])
     noise, output = (
         None if data.get(key) is None else _checked(data[key], key) for key in ("noise", "output")
     )
@@ -218,18 +221,33 @@ def build_model(spectrum: dict) -> SpectrumModel:
     basis = spectrum.get("basis")
     if basis == "sine1d":
         return make_sine_spectrum_1d(
-            int(spectrum.get("n_modes", 16)), float(spectrum.get("length", 1.0))
+            config_number(spectrum.get("n_modes", 16), "spectrum.n_modes", int),
+            config_number(spectrum.get("length", 1.0), "spectrum.length"),
         )
     if basis == "sine_rect":
         return make_sine_spectrum_rect(
-            int(spectrum.get("nx", 8)),
-            int(spectrum.get("ny", 8)),
-            float(spectrum.get("lx", 1.0)),
-            float(spectrum.get("ly", 1.0)),
+            config_number(spectrum.get("nx", 8), "spectrum.nx", int),
+            config_number(spectrum.get("ny", 8), "spectrum.ny", int),
+            config_number(spectrum.get("lx", 1.0), "spectrum.lx"),
+            config_number(spectrum.get("ly", 1.0), "spectrum.ly"),
         )
     if basis == "custom":
-        return make_custom_spectrum(spectrum.get("eigenvalues", ()))
+        eigenvalues = _numbers(spectrum.get("eigenvalues", ()), "spectrum.eigenvalues")
+        return make_custom_spectrum(eigenvalues)
     raise ConfigError(f"unknown spectrum basis {basis!r}")
+
+
+def _numbers(values, where: str) -> np.ndarray:
+    """A config list of finite numbers as a float array; anything else,
+    such as a ``null`` entry (which numpy reads as NaN), is a ConfigError
+    naming the key ``where``."""
+    try:
+        numbers = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        numbers = None
+    if numbers is None or not np.all(np.isfinite(numbers)):
+        raise ConfigError(f"{where} must be a list of finite numbers")
+    return numbers
 
 
 def resolve_source(src: dict, model: SpectrumModel) -> SpectralVec:
@@ -245,7 +263,7 @@ def resolve_source(src: dict, model: SpectrumModel) -> SpectralVec:
     if "csv" in src:
         return ingest_grid(read_grid_csv(src["csv"]), model)
     if "coeffs" in src:
-        return from_coeffs(model, src["coeffs"])
+        return from_coeffs(model, _numbers(src["coeffs"], "data source coeffs"))
     params = src  # a copy, so the generator's name and u0 can be replaced
     gen = params.pop("generator")
     if gen == "parabolic_terminal" and isinstance(params.get("u0"), dict):
@@ -268,15 +286,16 @@ class ExperimentResult:
 
 def _build_problem(problem: dict, model: SpectrumModel, f: SpectralVec, g: Optional[SpectralVec]):
     kind = problem["kind"]
-    T = float(problem["T"])
+    T = config_number(problem["T"], "problem.T")
     if kind == "elliptic":
         return Elliptic(T=T, f=f, g=g)
     if kind == "hyperbolic":
         return Hyperbolic(T=T, f=f, g=g)
-    a2 = float(problem.get("a2", 1.0))
+    a2 = config_number(problem.get("a2", 1.0), "problem.a2")
     if not (a2 > 0.0):
         raise ConfigError(f"problem.a2 must be positive, got {a2!r}")
-    return Parabolic(T=T / a2, f=f, gamma=float(problem.get("gamma", 1.0)))
+    gamma = config_number(problem.get("gamma", 1.0), "problem.gamma")
+    return Parabolic(T=T / a2, f=f, gamma=gamma)
 
 
 def _oracle_reference(spec) -> SpectralVec:
@@ -287,13 +306,24 @@ def _oracle_reference(spec) -> SpectralVec:
     return parabolic_backward_trace(spec)
 
 
+def _checkpoints(values) -> list[int]:
+    """``schedule.checkpoints`` as step counts: a list of integers."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError("schedule.checkpoints must be a list of step counts")
+    return [config_number(k, f"schedule.checkpoints[{i}]", int) for i, k in enumerate(values)]
+
+
 def _build_schedule(schedule: dict) -> IterationSchedule:
-    cps = tuple(int(k) for k in schedule["checkpoints"])
+    cps = tuple(_checkpoints(schedule["checkpoints"]))
     stop = None
     if any(k in schedule for k in ("max_steps", "successive_diff_tol", "scale")):
         stop = StoppingRule(
-            max_steps=int(schedule.get("max_steps", cps[-1] if cps else 1)),
-            successive_diff_tol=float(schedule.get("successive_diff_tol", 0.0)),
+            max_steps=config_number(
+                schedule.get("max_steps", cps[-1] if cps else 1), "schedule.max_steps", int
+            ),
+            successive_diff_tol=config_number(
+                schedule.get("successive_diff_tol", 0.0), "schedule.successive_diff_tol"
+            ),
             scale=schedule.get("scale"),
         )
     return IterationSchedule(
@@ -333,9 +363,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         reference = _oracle_reference(clean_spec)
 
     if cfg.noise is not None:
-        eps = float(cfg.noise["eps"])
-        seed = int(cfg.noise["seed"])
-        scale = float(cfg.noise.get("norm_scale", 0.0))
+        eps = config_number(cfg.noise["eps"], "noise.eps")
+        seed = config_number(cfg.noise["seed"], "noise.seed", int)
+        scale = config_number(cfg.noise.get("norm_scale", 0.0), "noise.norm_scale")
         if kind == "parabolic":
             f = add_noise(f, NoiseSpec(eps=eps, seed=seed, norm_scale=scale))
         else:
@@ -526,6 +556,53 @@ def _fmt(x: Optional[float]) -> str:
     return f"{x:.6g}"
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _dumps(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, nested at the indentation ``pad``.
+
+    The pure-Python indenting encoder makes several calls per value.  Here
+    a dict or list of plain scalars is one call of the C encoder, whose
+    item separator carries the line break and the indentation; a list of
+    plain ints is one join, and a list of int rows one format per row.
+    Other dicts with str keys, lists and tuples recurse; anything else,
+    such as an empty container or a numpy scalar, is ``json.dumps`` itself.
+    """
+    kind = type(obj)
+    if obj and kind in (dict, list, tuple):
+        inner = pad + "  "
+        sep = ",\n" + inner
+        members = set(map(type, obj.values() if kind is dict else obj))
+        body = None
+        if members == {int} and kind is not dict:
+            body = sep.join(map(int.__repr__, obj))
+        elif members <= _SCALARS:
+            body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+        elif kind is not dict:
+            body = _int_rows(obj, inner) or sep.join([_dumps(v, inner) for v in obj])
+        elif set(map(type, obj)) == {str}:
+            body = sep.join([json.dumps(k) + ": " + _dumps(v, inner) for k, v in obj.items()])
+        if body is not None:
+            left, right = "{}" if kind is dict else "[]"
+            return left + "\n" + inner + body + "\n" + pad + right
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
+def _int_rows(rows, pad: str) -> Optional[str]:
+    """The :func:`_dumps` body of a list of equal-length lists of plain
+    ints, such as a mode index map, with its members at ``pad``; None for
+    any other list."""
+    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
+        return None
+    columns = list(zip(*rows))
+    if not columns or any(set(map(type, c)) != {int} for c in columns):
+        return None
+    cell = "\n" + pad + "  "
+    row = "[" + cell + ("," + cell).join(["{}"] * len(columns)) + "\n" + pad + "]"
+    return (",\n" + pad).join(map(row.format, *columns))
+
+
 def render_rows(
     fmt: str,
     columns,
@@ -548,7 +625,7 @@ def render_rows(
     raises :class:`ConfigError`.
     """
     if fmt == "json":
-        return json.dumps(payload(), indent=2) + "\n"
+        return _dumps(payload()) + "\n"
     if fmt == "csv":
         lines = [",".join(c[0] for c in columns)]
         lines += [",".join(row) for row in rows]
@@ -611,8 +688,8 @@ def _basis_from_dict(d: dict):
 def model_to_dict(model: SpectrumModel) -> dict:
     return {
         "basis": _basis_to_dict(model.basis),
-        "eigenvalues": [float(x) for x in model.eigenvalues],
-        "mode_index_map": [list(t) for t in model.mode_index_map],
+        "eigenvalues": model.eigenvalues.tolist(),
+        "mode_index_map": list(map(list, model.mode_index_map)),
     }
 
 
@@ -620,7 +697,7 @@ def model_from_dict(d: dict) -> SpectrumModel:
     return SpectrumModel(
         eigenvalues=np.asarray(d["eigenvalues"], dtype=float),
         basis=_basis_from_dict(d["basis"]),
-        mode_index_map=tuple(tuple(int(i) for i in t) for t in d["mode_index_map"]),
+        mode_index_map=d["mode_index_map"],
     )
 
 
@@ -638,7 +715,7 @@ def report_to_dict(report: IterationReport) -> dict:
                 "successive_diff": r.successive_diff,
                 "residual": r.residual,
                 "error_vs_reference": r.error_vs_reference,
-                "iterate": [float(c) for c in r.iterate.coeffs],
+                "iterate": r.iterate.coeffs.tolist(),
             }
             for r in report.records
         ],

@@ -33,6 +33,24 @@ def describe_modes(positions, eigenvalues=None) -> str:
     return text
 
 
+def config_number(value, where: str, kind=float):
+    """A config value as a float, or as an int when ``kind`` is ``int``.
+
+    A value that does not convert, or a fractional float where an int is
+    wanted, raises :class:`ConfigError` naming the key ``where`` and the
+    value (its repr cut at 60 characters); an integral float such as
+    ``10.0`` is an int.
+    """
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float) and number != value):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {what}, got {value!r:.60}")
+    return number
+
+
 class KmiterError(Exception):
     """Base class for all errors raised by this package."""
 

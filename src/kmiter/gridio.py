@@ -19,13 +19,15 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
+import itertools
 import math
 import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, config_number
 from .problems import parabolic_solution_at
 from .spectral import (
     CustomBasis,
@@ -122,40 +124,70 @@ def make_grid_function(
 # CSV exchange
 
 
+def _csv_rows(text: str) -> tuple[list, list, set]:
+    """The header row, the data fields in row order and the set of data-row
+    widths of a CSV text, with blank rows dropped, as :mod:`csv` reads them.
+
+    Text without a quote character splits on line ends and commas as the
+    csv reader does; only quoted text needs its quoting rules, and the
+    reader row by row.
+    """
+    if '"' in text:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        body = list(filter(None, rows[1:]))
+        return rows[0], list(itertools.chain.from_iterable(body)), set(map(len, body))
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    body = list(filter(None, lines[1:]))
+    widths = {commas + 1 for commas in set(map(str.count, body, itertools.repeat(",")))}
+    return lines[0].split(",") if lines[0] else [], ",".join(body).split(","), widths
+
+
+def _bad_row(path, text: str, ndim: int) -> ConfigError:
+    """The refusal of the first data row that is not ``ndim + 1`` numbers.
+
+    Runs only once the whole-file parse has failed, to name the line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    for lineno, row in enumerate(reader, start=2):
+        if row and len(row) != ndim + 1:
+            return ConfigError(f"{path}:{lineno}: expected {ndim + 1} fields")
+        for v in row:
+            try:
+                float(v)
+            except ValueError as exc:
+                return ConfigError(f"{path}:{lineno}: {exc}")
+    raise AssertionError("the CSV parse failed, but every row holds numbers")
+
+
 def read_grid_csv(path, boundary: str = "error") -> GridFunction:
     """Read `x,value` or `x,y,value` rows (header required) into a GridFunction.
 
     Rows may come in any order; the grid must be complete (every (x, y)
-    combination present exactly once in two dimensions).
+    combination present exactly once in two dimensions).  Blank lines are
+    skipped, and each field is read as Python's ``float`` reads it.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip().lower() for h in header]
-        if header == ["x", "value"]:
-            ndim = 1
-        elif header == ["x", "y", "value"]:
-            ndim = 2
-        else:
-            raise ConfigError(
-                f"{path}: header must be 'x,value' or 'x,y,value', got {header!r}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != ndim + 1:
-                raise ConfigError(f"{path}:{lineno}: expected {ndim + 1} fields")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+        text = fh.read()
+    if not text:
+        raise ConfigError(f"{path}: empty file, expected a header row")
+    header, fields, widths = _csv_rows(text)
+    header = [h.strip().lower() for h in header]
+    if header == ["x", "value"]:
+        ndim = 1
+    elif header == ["x", "y", "value"]:
+        ndim = 2
+    else:
+        raise ConfigError(
+            f"{path}: header must be 'x,value' or 'x,y,value', got {header!r}"
+        )
+    if not widths:
         raise ConfigError(f"{path}: no data rows")
-    data = np.asarray(rows)
+    if widths != {ndim + 1}:
+        raise _bad_row(path, text, ndim)
+    try:
+        data = np.fromiter(map(float, fields), float, len(fields)).reshape(-1, ndim + 1)
+    except ValueError:
+        raise _bad_row(path, text, ndim) from None
     if ndim == 1:
         order = np.argsort(data[:, 0])
         x = data[order, 0]
@@ -178,18 +210,22 @@ def read_grid_csv(path, boundary: str = "error") -> GridFunction:
 
 
 def write_grid_csv(gf: GridFunction, path) -> None:
-    """Write a GridFunction in the `x,value` / `x,y,value` exchange format."""
+    """Write a GridFunction in the `x,value` / `x,y,value` exchange format.
+
+    Each field is ``repr`` of a float, and every line ends in ``\\r\\n``,
+    as :func:`csv.writer` writes them.
+    """
+    reprs = [list(map(float.__repr__, a.tolist())) for a in gf.axes]
+    values = map(float.__repr__, gf.values.ravel().tolist())
+    if gf.ndim == 1:
+        header, columns = "x,value", (reprs[0], values)
+    else:
+        (xs, ys), ny = reprs, gf.axes[1].size
+        x_column = np.repeat(np.array(xs, dtype=object), ny).tolist()
+        header, columns = "x,y,value", (x_column, ys * len(xs), values)
+    lines = map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if gf.ndim == 1:
-            writer.writerow(["x", "value"])
-            for x, v in zip(gf.axes[0], gf.values):
-                writer.writerow([repr(float(x)), repr(float(v))])
-        else:
-            writer.writerow(["x", "y", "value"])
-            for i, x in enumerate(gf.axes[0]):
-                for j, y in enumerate(gf.axes[1]):
-                    writer.writerow([repr(float(x)), repr(float(y)), repr(float(gf.values[i, j]))])
+        fh.write(header + "\r\n" + "\r\n".join(lines) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +379,15 @@ def synth_data(name: str, model: SpectrumModel, **params) -> SpectralVec:
         except KeyError:
             raise ConfigError("unit_mode needs a mode position k") from None
         _no_extras(name, params)
-        return unit_mode(model, int(k))
+        return unit_mode(model, config_number(k, "unit_mode k", int))
 
     if name == "parabolic_terminal":
         try:
             u0 = params.pop("u0")
-            T = float(params.pop("T"))
+            T = config_number(params.pop("T"), "parabolic_terminal T")
         except KeyError as exc:
             raise ConfigError(f"parabolic_terminal needs {exc}") from None
-        a2 = float(params.pop("a2", 1.0))
+        a2 = config_number(params.pop("a2", 1.0), "parabolic_terminal a2")
         _no_extras(name, params)
         if not isinstance(u0, SpectralVec):
             raise ConfigError("parabolic_terminal needs u0 as a SpectralVec")
@@ -362,13 +398,19 @@ def synth_data(name: str, model: SpectrumModel, **params) -> SpectralVec:
         return parabolic_solution_at(u0, T / a2)
 
     if name == "piecewise_profile":
-        smooth_amplitude = float(params.pop("smooth_amplitude", 1.0))
-        rough_amplitude = float(params.pop("rough_amplitude", 0.3))
-        rough_frequency = int(params.pop("rough_frequency", 4))
+        def param(key, default, kind=float):
+            return config_number(params.pop(key, default), f"{name} {key}", kind)
+
+        smooth_amplitude = param("smooth_amplitude", 1.0)
+        rough_amplitude = param("rough_amplitude", 0.3)
+        rough_frequency = param("rough_frequency", 4, int)
         resolution = params.pop("resolution", None)
         _no_extras(name, params)
         axes = _sine_axes(model)
-        p = _default_points(axes) if resolution is None else int(resolution)
+        if resolution is None:
+            p = _default_points(axes)
+        else:
+            p = config_number(resolution, "piecewise_profile resolution", int)
         grid = tuple(np.linspace(0.0, length, p) for length, _ in axes)
         profiles = [
             _profile_1d(x / length, smooth_amplitude, rough_amplitude, rough_frequency)

@@ -105,7 +105,9 @@ class SpectrumModel:
         What the eigenfunctions are, if anything is known about them.
     mode_index_map : tuple of tuple of int
         For each position in ``eigenvalues``, the originating multi-index
-        (``(j,)`` in one dimension, ``(j, k)`` on a rectangle).
+        (``(j,)`` in one dimension, ``(j, k)`` on a rectangle).  Given as
+        any (modes x d) table of integers, such as an int array; stored as
+        a tuple of tuples of Python ints.
     """
 
     eigenvalues: np.ndarray
@@ -126,10 +128,13 @@ class SpectrumModel:
         if np.any(np.diff(lam) < 0.0):
             raise ConfigError("eigenvalues must be sorted in ascending order")
         object.__setattr__(self, "eigenvalues", lam)
-        idx_map = tuple(tuple(int(i) for i in t) for t in self.mode_index_map)
-        if len(idx_map) != lam.size:
+        try:
+            idx = np.asarray(self.mode_index_map, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("mode_index_map must be a table of integer multi-indices") from None
+        if idx.ndim != 2 or idx.shape[0] != lam.size or idx.shape[1] == 0:
             raise ConfigError("mode_index_map must have one entry per eigenvalue")
-        object.__setattr__(self, "mode_index_map", idx_map)
+        object.__setattr__(self, "mode_index_map", tuple(zip(*idx.T.tolist())))
 
     @property
     def n_modes(self) -> int:
@@ -224,7 +229,7 @@ def make_sine_spectrum_1d(n_modes: int, length: float) -> SpectrumModel:
         raise ConfigError(f"length must be positive and finite, got {length!r}")
     j = np.arange(1, n_modes + 1, dtype=float)
     lam = j * (math.pi / length)
-    idx = tuple((int(i),) for i in range(1, n_modes + 1))
+    idx = np.arange(1, n_modes + 1)[:, None]
     return SpectrumModel(eigenvalues=lam, basis=Sine1D(length=float(length)), mode_index_map=idx)
 
 
@@ -246,7 +251,7 @@ def make_sine_spectrum_rect(nx: int, ny: int, lx: float, ly: float) -> SpectrumM
     kk = kk.ravel()
     lam = np.hypot(jj * (math.pi / lx), kk * (math.pi / ly))
     order = np.lexsort((kk, jj, lam))
-    idx = tuple((int(jj[i]), int(kk[i])) for i in order)
+    idx = np.stack([jj[order], kk[order]], axis=1)
     return SpectrumModel(
         eigenvalues=lam[order],
         basis=SineRect2D(lx=float(lx), ly=float(ly), nx=nx, ny=ny),
@@ -257,7 +262,7 @@ def make_sine_spectrum_rect(nx: int, ny: int, lx: float, ly: float) -> SpectrumM
 def make_custom_spectrum(eigenvalues: Sequence[float]) -> SpectrumModel:
     """Model over explicitly given eigenvalues with no eigenfunction data."""
     lam = np.asarray(eigenvalues, dtype=float)
-    idx = tuple((int(i),) for i in range(1, lam.size + 1))
+    idx = np.arange(1, lam.size + 1)[:, None]
     return SpectrumModel(eigenvalues=lam, basis=CustomBasis(), mode_index_map=idx)
 
 

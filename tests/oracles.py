@@ -1,11 +1,22 @@
-"""Frozen high-precision reference values used across the test suite.
+"""Frozen reference values and reference implementations for the test suite.
 
 Every constant below was evaluated independently of the package, with mpmath
 at 50 decimal digits, and pasted here verbatim (21 significant digits, which
 is more than double precision can hold).  The generating expression is given
 next to each value.  Tests compare library output against these numbers
 instead of recomputing them with the very code under test.
+
+The functions at the end are the row-by-row grid CSV reader and writer that
+:mod:`kmiter.gridio` replaced with whole-file versions; tests require the
+library to accept, refuse and write exactly what they do.
 """
+
+import csv
+
+import numpy as np
+
+from kmiter.errors import ConfigError
+from kmiter.gridio import make_grid_function
 
 FIVE_PI = 15.7079632679489661923  # 5*pi
 HALF_PI = 1.57079632679489661923  # pi/2
@@ -46,3 +57,71 @@ PI_SQRT2 = 4.44288293815836624702  # pi*sqrt(2)
 PI_SQRT5 = 7.02481473104072639316  # pi*sqrt(5)
 TWO_PI_SQRT2 = 8.88576587631673249403  # 2*pi*sqrt(2)
 INV_SQRT3 = 0.577350269189625764509  # 1/sqrt(3)
+
+
+# ---------------------------------------------------------------------------
+# grid CSV exchange, one row and one field at a time
+
+
+def read_grid_csv(path, boundary="error"):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ConfigError(f"{path}: empty file, expected a header row") from None
+        header = [h.strip().lower() for h in header]
+        if header == ["x", "value"]:
+            ndim = 1
+        elif header == ["x", "y", "value"]:
+            ndim = 2
+        else:
+            raise ConfigError(
+                f"{path}: header must be 'x,value' or 'x,y,value', got {header!r}"
+            )
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != ndim + 1:
+                raise ConfigError(f"{path}:{lineno}: expected {ndim + 1} fields")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    data = np.asarray(rows)
+    if ndim == 1:
+        order = np.argsort(data[:, 0])
+        x = data[order, 0]
+        if np.unique(x).size != x.size:
+            raise ConfigError(f"{path}: duplicate x samples")
+        return make_grid_function((x,), data[order, 1], boundary)
+    xs = np.unique(data[:, 0])
+    ys = np.unique(data[:, 1])
+    if xs.size * ys.size != data.shape[0]:
+        raise ConfigError(
+            f"{path}: {data.shape[0]} rows do not fill a {xs.size} x {ys.size} grid"
+        )
+    values = np.full((xs.size, ys.size), np.nan)
+    xi = np.searchsorted(xs, data[:, 0])
+    yi = np.searchsorted(ys, data[:, 1])
+    values[xi, yi] = data[:, 2]
+    if np.any(np.isnan(values)):
+        raise ConfigError(f"{path}: grid is incomplete (some (x, y) pairs missing)")
+    return make_grid_function((xs, ys), values, boundary)
+
+
+def write_grid_csv(gf, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if gf.ndim == 1:
+            writer.writerow(["x", "value"])
+            for x, v in zip(gf.axes[0], gf.values):
+                writer.writerow([repr(float(x)), repr(float(v))])
+        else:
+            writer.writerow(["x", "y", "value"])
+            for i, x in enumerate(gf.axes[0]):
+                for j, y in enumerate(gf.axes[1]):
+                    writer.writerow([repr(float(x)), repr(float(y)), repr(float(gf.values[i, j]))])

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmiter import (
     CheckpointRecord,
@@ -740,6 +741,40 @@ class TestRenderTable:
             render_table(self.table, "yaml")
 
 
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, -1e-300, 5e-324]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), FLOATS, st.text(),
+    FLOATS.map(np.float64),
+)
+KEYS = st.one_of(st.text(), st.integers(), FLOATS, st.booleans(), st.none())
+
+
+def json_trees():
+    """JSON-like trees, with the shapes the encoder writes in one call
+    (lists of floats, lists of ints, rows of ints, dicts of scalars) drawn
+    on purpose beside arbitrary nesting."""
+    int_rows = st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-(2**70), 2**70), min_size=n, max_size=n))
+    )
+    leaves = st.one_of(
+        SCALARS, st.lists(FLOATS), st.lists(st.integers()), int_rows,
+        st.dictionaries(st.text(), SCALARS), st.dictionaries(KEYS, SCALARS),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(), children, max_size=4),
+            st.dictionaries(KEYS, children, max_size=3),
+        ),
+        max_leaves=12,
+    )
+
+
 class TestRenderRows:
     COLUMNS = (("x", "x value", "---"), ("y", "y", "---:"), ("ok", "ok?", ":---:"))
     ROWS = [["1", "0.5", "1"], ["2", "0.25", "0"]]
@@ -785,6 +820,12 @@ class TestRenderRows:
         text = render_rows("json", self.COLUMNS, self.ROWS, payload)
         assert text == '{\n  "rows": [\n    1.0,\n    Infinity\n  ]\n}\n'
         assert calls == [1]
+
+    @given(json_trees())
+    @settings(max_examples=300, deadline=None)
+    def test_json_is_the_bytes_of_json_dumps(self, tree):
+        text = render_rows("json", self.COLUMNS, self.ROWS, lambda: tree)
+        assert text == json.dumps(tree, indent=2) + "\n"
 
     def test_unknown_format(self):
         with pytest.raises(ConfigError, match="unknown report format 'xml'"):

@@ -115,6 +115,14 @@ class TestExperimentCommands:
         assert out1 != clean
 
 
+ELLIPTIC = {
+    "kind": "elliptic",
+    "T": 1.0,
+    "f": {"generator": "zero"},
+    "g": {"generator": "unit_mode", "k": 2},
+}
+
+
 class TestConfigPrecedence:
     def write_config(self, tmp_path, **overrides):
         data = {
@@ -176,6 +184,55 @@ class TestConfigPrecedence:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "schedule" in err and "'tol'" in err
+
+    @pytest.mark.parametrize(
+        "section, value, steps, key",
+        [
+            ("spectrum", {"basis": "sine1d", "n_modes": "abc"}, (), "spectrum.n_modes"),
+            ("problem", {**ELLIPTIC, "T": "x"}, (), "problem.T"),
+            ("schedule", {"checkpoints": ["a"]}, ("--steps", "5"), "schedule.checkpoints[0]"),
+            (
+                "spectrum", {"basis": "custom", "eigenvalues": ["a", 2.0]}, (),
+                "spectrum.eigenvalues",
+            ),
+            (
+                "problem", {**ELLIPTIC, "g": {"coeffs": [0.0, "a"] + [0.0] * 4}}, (),
+                "data source coeffs",
+            ),
+            (
+                "problem", {**ELLIPTIC, "g": {"coeffs": [0.0, None] + [0.0] * 4}}, (),
+                "data source coeffs",
+            ),
+        ],
+    )
+    def test_value_of_the_wrong_type_is_config_error(
+        self, capsys, tmp_path, section, value, steps, key
+    ):
+        path = self.write_config(tmp_path, **{section: value})
+        code, out, err = run_cli(capsys, "elliptic", "--config", str(path), *steps)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: {key} must be" in err
+
+    @pytest.mark.parametrize(
+        "schedule, key",
+        [
+            ({"checkpoints": [10.7, 20]}, "schedule.checkpoints[0]"),
+            ({"checkpoints": [10, 20], "max_steps": 20.5}, "schedule.max_steps"),
+        ],
+    )
+    def test_fractional_step_count_refused(self, capsys, tmp_path, schedule, key):
+        path = self.write_config(tmp_path, schedule=schedule)
+        code, out, err = run_cli(capsys, "elliptic", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"{key} must be an integer" in err
+
+    def test_integral_float_step_counts_accepted(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, schedule={"checkpoints": [10.0, 20], "max_steps": 20.0})
+        code, out, _ = run_cli(capsys, "elliptic", "--config", str(path))
+        assert code == EXIT_OK
+        assert [int(r["k"]) for r in csv_rows(out)] == [10, 20]
 
     def test_missing_config_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "elliptic", "--config", str(tmp_path / "no.json"))

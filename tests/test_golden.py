@@ -11,7 +11,10 @@ CSV, markdown and any other text format must match byte for byte.  JSON
 prints full precision, and the files were captured while grid ingestion
 used dense sine matrices and the parabolic reference was rebuilt from the
 terminal state, so numbers there may differ by
-``|a - b| <= 1e-11 |a| + 1e-15``; everything else must be equal.
+``|a - b| <= 1e-11 |a| + 1e-15``; everything else must be equal.  The
+layout and the digits of each JSON output are pinned instead by comparing
+it with ``json.dumps(payload, indent=2)`` of the payload it was rendered
+from.
 """
 
 import argparse
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from kmiter import bench
 from kmiter.bench import FORMATS
 from kmiter.cli import EXIT_OK, build_parser, main
 
@@ -86,6 +90,24 @@ def test_json_within_tolerance(capsys, name):
     want = json.loads(golden(name, "json").read_text())
     got = json.loads(run(capsys, name, "json"))
     assert json_mismatches(want, got) == []
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_json_layout_is_json_dumps(capsys, monkeypatch, name):
+    payloads = []
+    render_rows = bench.render_rows
+
+    def recording(fmt, columns, rows, payload, **kwargs):
+        def recorded():
+            payloads.append(payload())
+            return payloads[-1]
+
+        return render_rows(fmt, columns, rows, recorded, **kwargs)
+
+    monkeypatch.setattr(bench, "render_rows", recording)
+    out = run(capsys, name, "json")
+    assert len(payloads) == 1
+    assert out == json.dumps(payloads[0], indent=2) + "\n"
 
 
 def test_every_golden_file_is_checked():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kmiter.errors import ConfigError
 from kmiter.gridio import (
@@ -111,6 +112,96 @@ class TestCsvExchange:
         p.write_text("")
         with pytest.raises(ConfigError):
             read_grid_csv(p)
+
+
+# Files the row-by-row reader accepts, and files it refuses; the whole-file
+# reader must return the same grid or raise the same message on each.
+GOOD_CSV = {
+    "shuffled": "x,value\n0.5,1.0\n1.0,0.0\n0.0,0.0\n0.25,0.7\n0.75,-0.7\n",
+    "crlf": "x,value\r\n0.0,0.0\r\n0.5,1.0\r\n1.0,0.0\r\n",
+    "cr": "x,value\r0.0,0.0\r0.5,1.0\r1.0,0.0",
+    "blank lines": "x,value\n\n0.0,0.0\n\r\n0.5,1.0\n\n1.0,0.0\n\n",
+    "padded": "X , Value \n 0.0 , 0.0\n\t0.5,\u20031.0 \n1.0 ,0.0\n",
+    "underscored": "x,value\n0.0,0.0\n0.5,1_000.5\n1.0,0_0.0\n",
+    "quoted": '"x","value"\n"0.0","0.0"\n"0.5",1.0\n1.0,"0.0"\n',
+    "quoted line break": 'x,value\n0.0,"0.0\n"\n0.5,1.0\n1.0,0.0\n',
+    "no final newline": "x,value\n0.0,0.0\n0.5,1e-3\n1.0,0.0",
+    "2-d shuffled crlf": "x,y,value\r\n1,1,0\r\n0,0,0\r\n0.5,0.5,2.5\r\n0,1,0\r\n0.5,0,0\r\n"
+    "1,0.5,0\r\n0,0.5,0\r\n1,0,0\r\n0.5,1,0\r\n",
+}
+BAD_CSV = {
+    "empty": "",
+    "header only": "x,value\n",
+    "header and blank lines": "x,value\n\n\r\n",
+    "wrong header": "a,b\n0.0,0.0\n",
+    "blank first line": "\nx,value\n0.0,0.0\n",
+    "short row": "x,value\n0.0,0.0\n0.5\n1.0,0.0\n",
+    "trailing comma after blank": "x,value\n0.0,0.0\n\n0.5,1.0,\n",
+    "word": "x,value\n0.0,zero\n",
+    "bad float before short row": "x,value\n0.0,abc\n0.5\n",
+    "short row before bad float": "x,value\n0.5\n0.0,abc\n",
+    "double underscore": "x,value\n0.0,1__0\n",
+    "quoted comma": 'x,value\n"0,5",1.0\n',
+    "short row after quoted line break": 'x,value\n"0.0\n",0.0\n0.5\n',
+    "crlf short row": "x,value\r\n0.0,0.0\r\n0.5\r\n",
+    "duplicate x": "x,value\n0.0,0.0\n0.5,1.0\n0.5,2.0\n1.0,0.0\n",
+    "incomplete 2-d": "x,y,value\n0.0,0.0,0.0\n0.0,1.0,0.0\n1.0,0.0,0.0\n",
+    "infinite value": "x,value\n0.0,0.0\n0.5,inf\n1.0,0.0\n",
+    "boundary trace": "x,value\n0.0,1.0\n0.5,1.0\n1.0,0.0\n",
+}
+
+
+def read_outcome(read, path):
+    try:
+        gf = read(path)
+    except ConfigError as exc:
+        return "refused", str(exc)
+    return "read", [a.tolist() for a in gf.axes], gf.values.tolist()
+
+
+@st.composite
+def grid_functions(draw):
+    """Uniform axes of 2 to 12 samples and arbitrary finite values."""
+    sizes = draw(st.lists(st.integers(2, 12), min_size=1, max_size=2))
+    axes = tuple(
+        np.linspace(start, start + span, n)
+        for n, start, span in zip(
+            sizes,
+            draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2)),
+            draw(st.lists(st.sampled_from([1e-3, 1.0, math.pi, 1e3]), min_size=2, max_size=2)),
+        )
+    )
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(float, tuple(sizes), elements=finite))
+    return GridFunction(axes=axes, values=values)
+
+
+class TestCsvAgainstRowLoop:
+    """The whole-file reader and writer against the row-by-row loops in oracles.py."""
+
+    @pytest.mark.parametrize("name", GOOD_CSV)
+    def test_reads_what_the_loop_reads(self, tmp_path, name):
+        path = tmp_path / "grid.csv"
+        path.write_text(GOOD_CSV[name], newline="")
+        want = read_outcome(oracles.read_grid_csv, path)
+        assert want[0] == "read"
+        assert read_outcome(read_grid_csv, path) == want
+
+    @pytest.mark.parametrize("name", BAD_CSV)
+    def test_refuses_what_the_loop_refuses(self, tmp_path, name):
+        path = tmp_path / "grid.csv"
+        path.write_text(BAD_CSV[name], newline="")
+        want = read_outcome(oracles.read_grid_csv, path)
+        assert want[0] == "refused"
+        assert read_outcome(read_grid_csv, path) == want
+
+    @given(grid_functions())
+    @settings(max_examples=60, deadline=None)
+    def test_writes_the_bytes_of_csv_writer(self, tmp_path_factory, gf):
+        directory = tmp_path_factory.mktemp("csv")
+        write_grid_csv(gf, directory / "new.csv")
+        oracles.write_grid_csv(gf, directory / "loop.csv")
+        assert (directory / "new.csv").read_bytes() == (directory / "loop.csv").read_bytes()
 
 
 class TestIngest:

@@ -9,6 +9,7 @@ from kmiter.spectral import (
     Sine1D,
     SineRect2D,
     SpectralVec,
+    SpectrumModel,
     apply_spectral_function,
     axpy,
     from_coeffs,
@@ -79,6 +80,35 @@ class TestSineSpectrumRect:
         m = make_sine_spectrum_rect(2, 2, 1.0, 1.0)
         assert m.mode_index_map[1] == (1, 2)
         assert m.mode_index_map[2] == (2, 1)
+
+
+class TestModeIndexMap:
+    @staticmethod
+    def model(table):
+        return SpectrumModel(np.array([1.0, 2.0]), CustomBasis(), mode_index_map=table)
+
+    @pytest.mark.parametrize(
+        "table",
+        [((1, 2), (3, 4)), [[1, 2], [3, 4]], np.array([[1, 2], [3, 4]]), [[1.0, 2], ["3", 4]]],
+    )
+    def test_stored_as_tuples_of_python_ints(self, table):
+        m = self.model(table)
+        assert m.mode_index_map == ((1, 2), (3, 4))
+        assert hash(m.mode_index_map) == hash(((1, 2), (3, 4)))
+        assert {type(i) for t in m.mode_index_map for i in t} == {int}
+        assert {type(t) for t in m.mode_index_map} == {tuple}
+
+    @pytest.mark.parametrize(
+        "table", [((1,), (2, 3)), (1, 2), ((1,),), (("a",), (2,)), ((), ()), ((2**70,), (1,))]
+    )
+    def test_not_one_integer_row_per_mode(self, table):
+        with pytest.raises(ConfigError, match="mode_index_map"):
+            self.model(table)
+
+    def test_builders_match_the_python_loops(self):
+        assert make_sine_spectrum_1d(300, 1.0).mode_index_map == tuple((j,) for j in range(1, 301))
+        rect = make_sine_spectrum_rect(4, 3, 1.0, 2.0)
+        assert sorted(rect.mode_index_map) == [(j, k) for j in range(1, 5) for k in range(1, 4)]
 
 
 class TestCustomSpectrum:
