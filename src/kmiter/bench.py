@@ -314,7 +314,7 @@ def _checkpoints(values) -> list[int]:
 
 
 def _build_schedule(schedule: dict) -> IterationSchedule:
-    cps = tuple(_checkpoints(schedule["checkpoints"]))
+    cps = tuple(schedule["checkpoints"])
     stop = None
     if any(k in schedule for k in ("max_steps", "successive_diff_tol", "scale")):
         stop = StoppingRule(
@@ -324,7 +324,9 @@ def _build_schedule(schedule: dict) -> IterationSchedule:
             successive_diff_tol=config_number(
                 schedule.get("successive_diff_tol", 0.0), "schedule.successive_diff_tol"
             ),
-            scale=schedule.get("scale"),
+            scale=None if schedule.get("scale") is None else config_number(
+                schedule["scale"], "schedule.scale"
+            ),
         )
     return IterationSchedule(
         checkpoints=cps, mode=schedule.get("mode", "closed_form"), stop=stop
@@ -564,10 +566,10 @@ def _dumps(obj, pad: str = "") -> str:
 
     The pure-Python indenting encoder makes several calls per value.  Here
     a dict or list of plain scalars is one call of the C encoder, whose
-    item separator carries the line break and the indentation; a list of
-    plain ints is one join, and a list of int rows one format per row.
-    Other dicts with str keys, lists and tuples recurse; anything else,
-    such as an empty container or a numpy scalar, is ``json.dumps`` itself.
+    item separator carries the line break and the indentation, and a list
+    of plain ints is one join.  Other dicts with str keys, lists and tuples
+    recurse; anything else, such as an empty container or a numpy scalar,
+    is ``json.dumps`` itself.
     """
     kind = type(obj)
     if obj and kind in (dict, list, tuple):
@@ -580,27 +582,13 @@ def _dumps(obj, pad: str = "") -> str:
         elif members <= _SCALARS:
             body = json.dumps(obj, separators=(sep, ": "))[1:-1]
         elif kind is not dict:
-            body = _int_rows(obj, inner) or sep.join([_dumps(v, inner) for v in obj])
+            body = sep.join([_dumps(v, inner) for v in obj])
         elif set(map(type, obj)) == {str}:
             body = sep.join([json.dumps(k) + ": " + _dumps(v, inner) for k, v in obj.items()])
         if body is not None:
             left, right = "{}" if kind is dict else "[]"
             return left + "\n" + inner + body + "\n" + pad + right
     return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-
-
-def _int_rows(rows, pad: str) -> Optional[str]:
-    """The :func:`_dumps` body of a list of equal-length lists of plain
-    ints, such as a mode index map, with its members at ``pad``; None for
-    any other list."""
-    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
-        return None
-    columns = list(zip(*rows))
-    if not columns or any(set(map(type, c)) != {int} for c in columns):
-        return None
-    cell = "\n" + pad + "  "
-    row = "[" + cell + ("," + cell).join(["{}"] * len(columns)) + "\n" + pad + "]"
-    return (",\n" + pad).join(map(row.format, *columns))
 
 
 def render_rows(

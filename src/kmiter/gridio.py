@@ -126,20 +126,10 @@ def make_grid_function(
 
 def _csv_rows(text: str) -> tuple[list, list, set]:
     """The header row, the data fields in row order and the set of data-row
-    widths of a CSV text, with blank rows dropped, as :mod:`csv` reads them.
-
-    Text without a quote character splits on line ends and commas as the
-    csv reader does; only quoted text needs its quoting rules, and the
-    reader row by row.
-    """
-    if '"' in text:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        body = list(filter(None, rows[1:]))
-        return rows[0], list(itertools.chain.from_iterable(body)), set(map(len, body))
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    body = list(filter(None, lines[1:]))
-    widths = {commas + 1 for commas in set(map(str.count, body, itertools.repeat(",")))}
-    return lines[0].split(",") if lines[0] else [], ",".join(body).split(","), widths
+    widths of a CSV text, with blank rows dropped, as :mod:`csv` reads them."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    body = list(filter(None, rows[1:]))
+    return rows[0], list(itertools.chain.from_iterable(body)), set(map(len, body))
 
 
 def _bad_row(path, text: str, ndim: int) -> ConfigError:

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateComplementError, describe_modes
+from .errors import ConfigError, DegenerateComplementError, config_number, describe_modes
 from .problems import Elliptic, Hyperbolic, Parabolic, ProblemSpec, _guard_overflow
 from .spectral import SpectralVec, SpectrumModel, scale_weights
 
@@ -291,11 +291,14 @@ class StoppingRule:
     scale: Optional[float] = None
 
     def __post_init__(self):
-        if int(self.max_steps) < 1:
+        max_steps = config_number(self.max_steps, "max_steps", int)
+        if max_steps < 1:
             raise ConfigError("max_steps must be at least 1")
-        object.__setattr__(self, "max_steps", int(self.max_steps))
-        if not (self.successive_diff_tol >= 0.0):
+        object.__setattr__(self, "max_steps", max_steps)
+        if not (config_number(self.successive_diff_tol, "successive_diff_tol") >= 0.0):
             raise ConfigError("successive_diff_tol must be non-negative")
+        if self.scale is not None:
+            object.__setattr__(self, "scale", config_number(self.scale, "scale"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,7 +316,9 @@ class IterationSchedule:
     stop: Optional[StoppingRule] = None
 
     def __post_init__(self):
-        cps = tuple(int(k) for k in self.checkpoints)
+        cps = tuple(
+            config_number(k, f"checkpoints[{i}]", int) for i, k in enumerate(self.checkpoints)
+        )
         if len(cps) == 0:
             raise ConfigError("checkpoints must be non-empty")
         if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):

@@ -191,6 +191,8 @@ class TestConfigPrecedence:
             ("spectrum", {"basis": "sine1d", "n_modes": "abc"}, (), "spectrum.n_modes"),
             ("problem", {**ELLIPTIC, "T": "x"}, (), "problem.T"),
             ("schedule", {"checkpoints": ["a"]}, ("--steps", "5"), "schedule.checkpoints[0]"),
+            ("schedule", {"checkpoints": [10, 20], "scale": "x"}, (), "schedule.scale"),
+            ("schedule", {"checkpoints": [10, 20], "scale": [1]}, (), "schedule.scale"),
             (
                 "spectrum", {"basis": "custom", "eigenvalues": ["a", 2.0]}, (),
                 "spectrum.eigenvalues",

@@ -350,6 +350,25 @@ class TestReports:
         with pytest.raises(ConfigError):
             StoppingRule(max_steps=1, successive_diff_tol=-1.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: IterationSchedule(checkpoints=(10.7, 20)),
+            lambda: IterationSchedule(checkpoints=("a",)),
+            lambda: StoppingRule(max_steps=10.7),
+            lambda: StoppingRule(max_steps=10, successive_diff_tol="x"),
+            lambda: StoppingRule(max_steps=10, scale=[1]),
+        ],
+    )
+    def test_schedule_values_of_the_wrong_type_refused(self, build):
+        with pytest.raises(ConfigError, match="must be"):
+            build()
+
+    def test_integral_float_step_counts_are_ints(self):
+        sched = IterationSchedule(checkpoints=(10.0, 20), stop=StoppingRule(max_steps=20.0))
+        assert sched.checkpoints == (10, 20) and sched.stop.max_steps == 20
+        assert all(type(k) is int for k in (*sched.checkpoints, sched.stop.max_steps))
+
 
 class TestOperatorConditions:
     def samples(self, model, count=40, seed=0):
