@@ -124,10 +124,17 @@ def make_grid_function(
 # CSV exchange
 
 
-def _csv_rows(text: str) -> tuple[list, list, set]:
+def _csv_rows(path, text: str) -> tuple[list, list, set]:
     """The header row, the data fields in row order and the set of data-row
-    widths of a CSV text, with blank rows dropped, as :mod:`csv` reads them."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    widths of a CSV text, with blank rows dropped, as :mod:`csv` reads them.
+
+    A text :mod:`csv` refuses, such as one with a field longer than
+    ``csv.field_size_limit()``, is refused naming the line it stopped on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
     body = list(filter(None, rows[1:]))
     return rows[0], list(itertools.chain.from_iterable(body)), set(map(len, body))
 
@@ -157,10 +164,16 @@ def read_grid_csv(path, boundary: str = "error") -> GridFunction:
     skipped, and each field is read as Python's ``float`` reads it.
     """
     with open(path, newline="") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} "
+                f"is not valid {exc.encoding}"
+            ) from None
     if not text:
         raise ConfigError(f"{path}: empty file, expected a header row")
-    header, fields, widths = _csv_rows(text)
+    header, fields, widths = _csv_rows(path, text)
     header = [h.strip().lower() for h in header]
     if header == ["x", "value"]:
         ndim = 1

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -199,10 +199,32 @@ def power_source_function(q: float) -> Callable[[float], float]:
     return G
 
 
+def _source_weights(G: Callable[[float], float], xs: list) -> np.ndarray:
+    """G at each Python float of ``xs``.
+
+    A value of G that is not a positive finite real, or an ``OverflowError``
+    inside G, is refused with a :class:`ConfigError` naming the first such
+    argument."""
+    try:
+        g = np.fromiter(map(G, xs), float, len(xs))
+    except OverflowError:
+        for x in xs:
+            try:
+                G(x)
+            except OverflowError:
+                raise ConfigError(f"G({x!r}) overflows a float") from None
+        raise
+    bad = np.flatnonzero(~((g > 0.0) & np.isfinite(g)))
+    if bad.size:
+        raise ConfigError(
+            f"G({xs[bad[0]]!r}) = {float(g[bad[0]])!r} is not a positive finite value"
+        )
+    return g
+
+
 def source_constant(phibar: SpectralVec, G: Callable[[float], float], s: float) -> float:
     """Exact source constant M of a known trace under weight G and index s."""
-    lam = phibar.model.eigenvalues
-    g = np.asarray([float(G(x)) for x in lam])
+    g = _source_weights(G, phibar.model.eigenvalues.tolist())
     w = scale_weights(phibar.model, s)
     v = g * phibar.coeffs
     # the square overflows from |v| ~ 1.3e154 on; a power-of-two scale is exact
@@ -259,8 +281,7 @@ def candidate_cutoffs(model: SpectrumModel) -> np.ndarray:
 # the a-priori bound
 
 
-@dataclasses.dataclass(frozen=True)
-class BoundPoint:
+class BoundPoint(NamedTuple):
     """The bound's ingredients at one candidate cutoff.
 
     ``tail_bound`` is M/G(n) while any mode sits above the cutoff and drops
@@ -275,6 +296,10 @@ class BoundPoint:
     given (``inf`` if the cutoff retains a degenerate mode).
     ``lambda_retained_max`` is the largest retained eigenvalue (None when
     the cutoff drops everything).
+
+    A point is a tuple of these seven fields in this order: it unpacks and
+    compares equal to a plain tuple of the same values, and its fields
+    cannot be assigned.
     """
 
     n: float
@@ -307,11 +332,7 @@ def _bound_arrays(
     lam, comp = fac.model.eigenvalues, fac.complements
     kept = np.searchsorted(lam, grid, side="right")  # count of lam <= n; lam is sorted
     truncating = grid[kept < lam.size].tolist()  # a prefix of the sorted grid
-    Gn = np.array([float(plan.source.G(n)) for n in truncating])
-    bad = np.flatnonzero(~((Gn > 0.0) & np.isfinite(Gn)))
-    if bad.size:
-        n = truncating[bad[0]]
-        raise ConfigError(f"G({n!r}) = {float(Gn[bad[0]])!r} is not a positive finite value")
+    Gn = _source_weights(plan.source.G, truncating)
     tail = np.concatenate((plan.source.M / Gn, np.zeros(grid.size - Gn.size)))
     safe, degenerate = _safe_complement(comp)  # degenerate: -0.0 too
     with np.errstate(all="ignore"):
@@ -324,11 +345,16 @@ def _bound_arrays(
         # plus a suffix sum over the dropped ones, the latter a reversed
         # cumulative sum and not a difference of sums, so nothing cancels
         w = scale_weights(fac.model, 0.5 * plan.source.s)
-        drop_sq = (w * sub(fac.z, reference).coeffs) ** 2
-        ret_sq = (w * (fac.z.coeffs / safe - reference.coeffs)) ** 2
-        prefix = np.concatenate(([0.0], np.cumsum(ret_sq)))
-        suffix = np.concatenate((np.cumsum(drop_sq[::-1])[::-1], [0.0]))
-        err = np.sqrt(prefix[kept] + suffix[kept])
+        drop = w * sub(fac.z, reference).coeffs
+        ret = w * (fac.z.coeffs / safe - reference.coeffs)
+        # a square overflows from about 1.3e154 on; past 2**480 both columns
+        # take one power-of-two scale, which is exact and leaves the sums of
+        # N < 2**60 squares finite.  Below it nothing is scaled, so a prefix
+        # of small modes keeps its bits instead of turning subnormal.
+        e = max(0, int(np.frexp(max(np.max(np.abs(drop)), np.max(np.abs(ret))))[1]) - 480)
+        prefix = np.concatenate(([0.0], np.cumsum(np.ldexp(ret, -e) ** 2)))
+        suffix = np.concatenate((np.cumsum(np.ldexp(drop, -e)[::-1] ** 2)[::-1], [0.0]))
+        err = np.ldexp(np.sqrt(prefix[kept] + suffix[kept]), e)
     first_degenerate = int(np.argmax(np.append(degenerate, True)))  # N when there is none
     return grid, kept, tail, amp, bound, np.where(kept > first_degenerate, math.inf, err)
 
@@ -355,14 +381,12 @@ def error_bound_curve(
     """
     grid, kept, tail, amp, bound, err = _bound_arrays(plan, fac, candidates, phibar_reference)
     errors = [None] * grid.size if err is None else err.tolist()
-    lam_max = fac.model.eigenvalues[kept - 1].tolist()
-    return [
-        BoundPoint(n, t, a, b, e, k, lm if k else None)
-        for n, t, a, b, e, k, lm in zip(
-            grid.tolist(), tail.tolist(), amp.tolist(), bound.tolist(),
-            errors, kept.tolist(), lam_max,
-        )
-    ]
+    empty = int(np.count_nonzero(kept == 0))  # a prefix: the grid is sorted
+    lam_max = [None] * empty + fac.model.eigenvalues[kept[empty:] - 1].tolist()
+    columns = (
+        grid.tolist(), tail.tolist(), amp.tolist(), bound.tolist(), errors, kept.tolist(), lam_max
+    )
+    return list(map(BoundPoint._make, zip(*columns)))
 
 
 @dataclasses.dataclass(frozen=True)

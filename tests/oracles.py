@@ -7,16 +7,22 @@ next to each value.  Tests compare library output against these numbers
 instead of recomputing them with the very code under test.
 
 The functions at the end are the row-by-row grid CSV reader and writer that
-:mod:`kmiter.gridio` replaced with whole-file versions; tests require the
-library to accept, refuse and write exactly what they do.
+:mod:`kmiter.gridio` replaced with whole-file versions, and the bound curve
+built as one frozen dataclass per candidate, which
+:func:`kmiter.regularization.error_bound_curve` replaced with one pass over
+its columns; tests require the library to accept, refuse and return exactly
+what they do.
 """
 
 import csv
+import dataclasses
+from typing import Optional
 
 import numpy as np
 
 from kmiter.errors import ConfigError
 from kmiter.gridio import make_grid_function
+from kmiter.regularization import _bound_arrays
 
 FIVE_PI = 15.7079632679489661923  # 5*pi
 HALF_PI = 1.57079632679489661923  # pi/2
@@ -125,3 +131,31 @@ def write_grid_csv(gf, path):
             for i, x in enumerate(gf.axes[0]):
                 for j, y in enumerate(gf.axes[1]):
                     writer.writerow([repr(float(x)), repr(float(y)), repr(float(gf.values[i, j]))])
+
+
+# ---------------------------------------------------------------------------
+# the bound curve, one frozen dataclass per candidate
+
+
+@dataclasses.dataclass(frozen=True)
+class BoundPoint:
+    n: float
+    tail_bound: float
+    amplification: float
+    bound: float
+    true_error: Optional[float] = None
+    retained: int = 0
+    lambda_retained_max: Optional[float] = None
+
+
+def error_bound_curve(plan, fac, phibar_reference=None, candidates=None):
+    grid, kept, tail, amp, bound, err = _bound_arrays(plan, fac, candidates, phibar_reference)
+    errors = [None] * grid.size if err is None else err.tolist()
+    lam_max = fac.model.eigenvalues[kept - 1].tolist()
+    return [
+        BoundPoint(n, t, a, b, e, k, lm if k else None)
+        for n, t, a, b, e, k, lm in zip(
+            grid.tolist(), tail.tolist(), amp.tolist(), bound.tolist(),
+            errors, kept.tolist(), lam_max,
+        )
+    ]

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -240,6 +241,20 @@ class TestConfigPrecedence:
         code, _, err = run_cli(capsys, "elliptic", "--config", str(tmp_path / "no.json"))
         assert code == EXIT_IO
         assert "i/o error" in err
+
+    def test_non_utf8_grid_csv_is_config_error(self, capsys, tmp_path):
+        grid = tmp_path / "g.csv"
+        grid.write_bytes(b"x,value\n0.0,0.0\n0.5,1.0\xe9\n1.0,0.0\n")
+        path = self.write_config(
+            tmp_path,
+            problem={
+                "kind": "elliptic", "T": 1.0, "f": {"generator": "zero"}, "g": {"csv": str(grid)},
+            },
+        )
+        code, out, err = run_cli(capsys, "elliptic", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"config error: {grid}: byte 0xe9 at offset 23" in err
 
     def test_broken_json_is_config_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -486,6 +501,27 @@ class TestNoLeakedWarnings:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stderr == ""
+
+
+    def test_regularize_512_reports_finite_errors(self):
+        # the errors near 1e168 squared to inf, so every row read inf; now
+        # only the cutoffs that retain a mode whose 1 - F is exactly zero do
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "kmiter", "regularize",
+             "--modes", "512", "--format", "json"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        data = json.loads(proc.stdout)
+        assert math.isfinite(data["error_at_star"]) and math.isfinite(data["best_error"])
+        assert data["best_error"] > 1e160
+        curve = data["curve"]
+        assert len(curve) == 513
+        finite = [math.isfinite(p["true_error"]) for p in curve]
+        assert finite == sorted(finite, reverse=True)  # inf only past a retained count
+        assert sum(finite) >= 476
+        assert all(f for p, f in zip(curve, finite) if math.isfinite(p["bound"]))
 
 
 class TestEntryPoints:

@@ -114,6 +114,23 @@ class TestCsvExchange:
             read_grid_csv(p)
 
 
+    def test_non_utf8_byte_refused_with_its_offset(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("x,value\n0.0,0.0\n0.5,caf\u00e9\n1.0,0.0\n".encode("latin-1"))
+        msg = r"latin1\.csv: byte 0xe9 at offset 23 is not valid utf-8$"
+        with pytest.raises(ConfigError, match=msg):
+            read_grid_csv(p)
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_field_over_the_csv_limit_refused_with_its_line(self, tmp_path, quote):
+        digits = "1" + "0" * 139999
+        p = tmp_path / "long.csv"
+        p.write_text(f"x,value\n0.0,0.0\n0.5,{quote}{digits}{quote}\n1.0,0.0\n")
+        msg = r"long\.csv:3: field larger than field limit \(131072\)$"
+        with pytest.raises(ConfigError, match=msg) as info:
+            read_grid_csv(p)
+        assert len(str(info.value)) < 200 + len(str(p))
+
 # Files the row-by-row reader accepts, and files it refuses; the whole-file
 # reader must return the same grid or raise the same message on each.
 GOOD_CSV = {

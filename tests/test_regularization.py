@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kmiter.errors import ConfigError, DegenerateComplementError
 from kmiter.iterations import build_factors, fixed_point
 from kmiter.problems import Elliptic, Parabolic, elliptic_dt_solution_at
 from kmiter.regularization import (
+    BoundPoint,
     CutoffSelection,
     NoiseSpec,
     RegularizerPlan,
@@ -311,6 +312,64 @@ class TestErrorBoundCurve:
                 assert p.lambda_retained_max is None
 
 
+def _unscaled_errors(plan, fac, reference, kept):
+    """The measured errors from squares taken without a scale, and those squares."""
+    w = scale_weights(fac.model, 0.5 * plan.source.s)
+    with np.errstate(all="ignore"):
+        drop_sq = (w * (fac.z.coeffs - reference.coeffs)) ** 2
+        ret_sq = (w * (fac.z.coeffs / fac.complements - reference.coeffs)) ** 2
+    prefix = np.concatenate(([0.0], np.cumsum(ret_sq)))
+    suffix = np.concatenate((np.cumsum(drop_sq[::-1])[::-1], [0.0]))
+    return np.sqrt(prefix[kept] + suffix[kept]), np.concatenate((drop_sq, ret_sq))
+
+
+def _scaled_instance(z, ref, s):
+    """Elliptic factors of complement above 0.8 with z and the reference replaced."""
+    m = make_sine_spectrum_1d(len(z), 1.0)
+    fac = build_factors(Elliptic(T=0.01, f=zeros(m), g=zeros(m)))
+    fac = dataclasses.replace(fac, z=from_coeffs(m, z))
+    source = SourceCondition(M=1.0, G=power_source_function(1.0), s=s)
+    return RegularizerPlan(n=1.0, eps_prime=1e-3, source=source), fac, from_coeffs(m, ref)
+
+
+_SPREAD = st.one_of(
+    st.just(0.0),
+    st.builds(math.ldexp, st.floats(0.5, 1.0) | st.floats(-1.0, -0.5), st.integers(-250, 500)),
+)
+
+
+class TestMeasuredErrorScale:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(_SPREAD, _SPREAD), min_size=1, max_size=12),
+        st.sampled_from([-0.5, 0.0, 0.5]),
+    )
+    def test_bits_unchanged_where_no_square_over_or_underflows(self, pairs, s):
+        # values up to 2**500 take the scale, values from 2**-250 on keep
+        # normal squares after it: the scaled errors are the unscaled bits
+        z, ref = (list(c) for c in zip(*pairs))
+        plan, fac, reference = _scaled_instance(z, ref, s)
+        curve = error_bound_curve(plan, fac, phibar_reference=reference)
+        want, squares = _unscaled_errors(plan, fac, reference, [p.retained for p in curve])
+        nonzero = squares[squares != 0.0]
+        assume(np.all(np.isfinite(nonzero)) and np.all(nonzero >= np.finfo(float).tiny))
+        assert np.all(np.isfinite(want))
+        got = np.array([p.true_error for p in curve])
+        assert got.tobytes() == want.tobytes()
+
+    def test_errors_past_the_square_overflow_scale_exactly(self):
+        # z and the reference times 2**600: every square overflows, and every
+        # measured error is the unscaled one times 2**600, bit for bit
+        rng = np.random.default_rng(3)
+        z, ref = rng.standard_normal(9), rng.standard_normal(9)
+        plan, fac, reference = _scaled_instance(z, ref, -0.5)
+        small = [p.true_error for p in error_bound_curve(plan, fac, phibar_reference=reference)]
+        plan, fac, reference = _scaled_instance(np.ldexp(z, 600), np.ldexp(ref, 600), -0.5)
+        big = [p.true_error for p in error_bound_curve(plan, fac, phibar_reference=reference)]
+        assert np.all(np.isinf(_unscaled_errors(plan, fac, reference, np.arange(10))[0]))
+        assert big == [math.ldexp(e, 600) for e in small]
+
+
 class TestSelectNStar:
     def test_no_noise_retains_everything(self):
         plan, fac, _ = _elliptic_plan()
@@ -400,6 +459,29 @@ class TestSourceHelpers:
         direct = float(np.sqrt(np.sum(scale_weights(m, s) * (g * phibar.coeffs) ** 2)))
         assert source_constant(phibar, G, s) == direct
 
+    def test_overflowing_source_weight_refused_in_both_places(self):
+        # (1 + lambda^2)^2 at lambda = 1e100 overflows a float: the Python
+        # power raises OverflowError instead of returning inf
+        m = make_custom_spectrum([1.0, 2.0, 1e100])
+        G = power_source_function(4.0)
+        with pytest.raises(ConfigError, match=r"^G\(1e\+100\) overflows a float$"):
+            source_constant(from_coeffs(m, [1.0, 0.5, 1e-300]), G, -0.5)
+        fac = build_factors(Elliptic(T=1e-101, f=zeros(m), g=zeros(m)))
+        plan = RegularizerPlan(n=1.0, eps_prime=0.0, source=SourceCondition(M=1.0, G=G, s=-0.5))
+        with pytest.raises(ConfigError, match=r"^G\(5e\+99\) overflows a float$"):
+            error_bound_curve(plan, fac)
+        with pytest.raises(ConfigError, match=r"^G\(5e\+99\) overflows a float$"):
+            select_n_star(plan, fac)
+
+    def test_source_constant_refuses_what_the_curve_refuses(self):
+        m = make_custom_spectrum([1.0, 2.0])
+        phibar = from_coeffs(m, [1.0, 0.0])
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            G = lambda lam, bad=bad: 1.0 if lam < 1.5 else bad  # noqa: E731
+            msg = r"^G\(2\.0\) = .* is not a positive finite value$"
+            with pytest.raises(ConfigError, match=msg):
+                source_constant(phibar, G, 0.0)
+
     def test_measure_eps_prime_is_z_distance(self):
         plan, fac, _ = _elliptic_plan()
         assert measure_eps_prime(fac, fac, -0.5) == 0.0
@@ -438,8 +520,11 @@ def _reference_curve(plan, fac, reference, grid):
                 amp = max(1.0, float(np.max(1.0 / comp[retained])))
         bound = math.inf if amp == math.inf else tail + plan.eps_prime * amp
         try:
-            phi = regularized_fixed_point(fac, fac.z, n)
-            err = norm_s(phi - reference, plan.source.s)
+            d = (regularized_fixed_point(fac, fac.z, n) - reference).coeffs
+            # scaled by a power of two, so that a finite error past 1.3e154
+            # does not read inf from an overflowing square
+            e = int(np.frexp(np.max(np.abs(d)))[1])
+            err = math.ldexp(norm_s(from_coeffs(fac.model, np.ldexp(d, -e)), plan.source.s), e)
         except DegenerateComplementError:
             err = math.inf
         lam_max = float(lam[retained][-1]) if k else None
@@ -545,3 +630,88 @@ class TestOnePassCurveMatchesReference:
         sel = select_n_star(plan, fac, candidates=candidates)
         assert sel == _reference_selection(grid, [row[5] for row in want])
         assert sel.bound_at_star == curve[sel.index].bound
+
+
+# ---------------------------------------------------------------------------
+# the curve against the frozen-dataclass build it replaced
+
+
+def _bits(values):
+    """Type and repr of each field: repr tells -0.0, inf, nan and None apart."""
+    return [(type(v), repr(v)) for v in values]
+
+
+def _assert_same_points(curve, want):
+    assert [f.name for f in dataclasses.fields(oracles.BoundPoint)] == list(BoundPoint._fields)
+    assert len(curve) == len(want)
+    for got, ref in zip(curve, want):
+        assert type(got) is BoundPoint
+        assert _bits(got) == _bits(dataclasses.astuple(ref))
+
+
+def _curve_case(name, n_modes):
+    """Plan, factors, reference and candidates of one named comparison case."""
+    if name == "degenerate":
+        # sech(800)^2 underflows to 0; a -0.0 complement is degenerate too
+        m = make_custom_spectrum([1.0, 2.0, 3.0, 800.0])
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=from_coeffs(m, [1.0, -2.0, 0.5, 0.0])))
+        comp = np.where(m.eigenvalues == 2.0, -0.0, fac.complements)
+        fac = dataclasses.replace(fac, complements=comp)
+        source = SourceCondition(M=1.0, G=lambda lam: lam, s=-0.5)
+        plan = RegularizerPlan(n=1.0, eps_prime=1e-3, source=source)
+        return plan, fac, from_coeffs(m, [1.0, 1.0, 1.0, 1.0]), None
+    plan, fac, phibar = _elliptic_plan(T=0.05, n_modes=n_modes, eps=1e-3)
+    if name == "below the spectrum":
+        lam0 = float(fac.model.eigenvalues[0])
+        return plan, fac, phibar, [0.25 * lam0, np.nextafter(lam0, 0.0), 0.5 * lam0]
+    if name == "signed zeros":
+        # M = -0.0 and eps' = -0.0 pass validation and give -0.0 tails and
+        # bounds; a reference equal to the fixed point gives 0.0 errors
+        source = SourceCondition(M=-0.0, G=plan.source.G, s=plan.source.s)
+        plan = RegularizerPlan(n=1.0, eps_prime=-0.0, source=source)
+        return plan, fac, fixed_point(fac), None
+    return plan, fac, phibar, None
+
+
+class TestCurveMatchesDataclassOracle:
+    @pytest.mark.parametrize("with_reference", [True, False])
+    @pytest.mark.parametrize(
+        "name, n_modes",
+        [
+            ("default grid", 1),
+            ("default grid", 2),
+            ("default grid", 4096),
+            ("below the spectrum", 1),
+            ("below the spectrum", 4096),
+            ("signed zeros", 2),
+            ("degenerate", None),
+        ],
+    )
+    def test_field_by_field(self, name, n_modes, with_reference):
+        plan, fac, reference, candidates = _curve_case(name, n_modes)
+        reference = reference if with_reference else None
+        curve = error_bound_curve(plan, fac, phibar_reference=reference, candidates=candidates)
+        want = oracles.error_bound_curve(plan, fac, reference, candidates)
+        _assert_same_points(curve, want)
+        if name == "below the spectrum":
+            assert all(p.retained == 0 and p.lambda_retained_max is None for p in curve)
+        if name == "degenerate":
+            assert any(p.bound == math.inf for p in curve)
+        if name == "signed zeros":
+            assert "-0.0" in {repr(p.tail_bound) for p in curve[:-1]}
+            assert "-0.0" in {repr(p.bound) for p in curve}
+        if not with_reference:
+            assert all(p.true_error is None for p in curve)
+
+    def test_defaults_and_immutability(self):
+        p = BoundPoint(n=1.5, tail_bound=2.0, amplification=1.0, bound=2.5)
+        assert (p.true_error, p.retained, p.lambda_retained_max) == (None, 0, None)
+        assert p == (1.5, 2.0, 1.0, 2.5, None, 0, None)
+        assert len(p) == 7
+        n, tail, *_ = p
+        assert (n, tail) == (1.5, 2.0)
+        assert p._replace(retained=3).retained == 3
+        assert p._asdict()["bound"] == 2.5
+        for field in BoundPoint._fields:
+            with pytest.raises(AttributeError):
+                setattr(p, field, 0.0)
