@@ -23,8 +23,12 @@ both provided; they agree to rounding and the stepwise path exists mainly to
 validate the recursion and the stopping rules.  Each report takes the norm
 weights and the reference norm once, and a closed-form report also log|F|;
 a closed-form checkpoint then costs two exp and one expm1 over the modes
-plus a few elementwise passes, and a step at most four elementwise passes
-and one dot product through buffers allocated once.  Memory is O(N).
+plus a few elementwise passes.  A step is two elementwise passes, phi *= F
+and phi += z, unless it is recorded or may stop the run; only those take
+the norm of the difference, at four elementwise passes and one dot
+product, all through buffers allocated once (see :func:`iterate_stepwise`
+for how a step is shown unable to stop the run).  Norms stay finite past
+the square overflow at about 1.3e154.  Memory is O(N).
 """
 
 from __future__ import annotations
@@ -173,37 +177,39 @@ def default_scale(kind: str) -> float:
 # powers of the multiplier, complement-aware
 
 
-def _log_factor(fac: IterationFactors) -> tuple[np.ndarray, np.ndarray]:
-    """(log|F|, F < 0) per mode.  For F >= 0, log1p(-comp) keeps full
-    precision out of the stored complement; for F < 0 the magnitude goes
-    through log1p(-(1 + F)), the sum being exact for F in [-1, 0]."""
+def _log_factor(fac: IterationFactors) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(log|F|, F < 0) per mode, the mask None when no F is negative.  For
+    F >= 0, log1p(-comp) keeps full precision out of the stored complement;
+    for F < 0 the magnitude goes through log1p(-(1 + F)), the sum being
+    exact for F in [-1, 0]."""
     neg = fac.factors < 0.0
     with np.errstate(divide="ignore"):
-        return np.log1p(-np.where(neg, 1.0 + fac.factors, fac.complements)), neg
+        logF = np.log1p(-np.where(neg, 1.0 + fac.factors, fac.complements))
+    return logF, (neg if neg.any() else None)
 
 
-def _factor_power(logF: np.ndarray, neg: np.ndarray, k: int) -> np.ndarray:
+def _factor_power(logF: np.ndarray, neg: Optional[np.ndarray], k: int) -> np.ndarray:
     """F^k per mode: exp(k log|F|), negated where F < 0 and k is odd."""
     if k == 0:
         return np.ones_like(logF)
     Fk = np.exp(k * logF)
-    if k % 2 and neg.any():
+    if k % 2 and neg is not None:
         np.negative(Fk, out=Fk, where=neg)
     return Fk
 
 
-def _power(logF: np.ndarray, neg: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(F^k, 1 - F^k) per mode, accurate also when F is nearly 1.
+def _power(logF: np.ndarray, neg: Optional[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(F^k, 1 - F^k) per mode for k >= 1, accurate also when F is nearly 1,
+    with k log|F| taken once.
 
     1 - F^k = -expm1(k log|F|); where F < 0 and k is odd, F^k = -|F|^k and
     1 - F^k = 1 + |F|^k instead.
     """
-    Fk = _factor_power(logF, neg, k)
-    if k == 0:
-        return Fk, np.zeros_like(logF)
     t = k * logF  # log of |F|^k, in [-inf, 0]
+    Fk = np.exp(t)
     omFk = np.negative(np.expm1(t, out=t), out=t)
-    if k % 2 and neg.any():
+    if k % 2 and neg is not None:
+        np.negative(Fk, out=Fk, where=neg)
         np.subtract(1.0, Fk, out=omFk, where=neg)
     return Fk, omFk
 
@@ -213,6 +219,13 @@ def _safe_complement(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (-0.0 too) replaced by 1, and the mask of those degenerate modes."""
     degenerate = comp == 0.0
     return np.where(degenerate, 1.0, comp), degenerate
+
+
+def _divisor(fac: IterationFactors) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """:func:`_safe_complement` of the factors, the mask None when no mode
+    is degenerate."""
+    safe, degenerate = _safe_complement(fac.complements)
+    return safe, (degenerate if degenerate.any() else None)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +269,18 @@ def iterate_closed_form(fac: IterationFactors, phi0: SpectralVec, k: int) -> Spe
         raise ConfigError(f"step count must be non-negative, got {k}")
     if k == 0:
         return SpectralVec(phi0.coeffs.copy(), fac.model)
-    _, phi = _iterate(fac, phi0, k, _log_factor(fac), _safe_complement(fac.complements))
+    _, phi = _iterate(fac, phi0, k, _log_factor(fac), _divisor(fac))
     return SpectralVec(phi, fac.model)
 
 
-def _iterate(fac, phi0, k, log_factor, safe_complement) -> tuple[np.ndarray, np.ndarray]:
-    """(F^k, phi_k) for k >= 1 from the per-report (log|F|, F < 0) and
-    (safe complement, degenerate mask), at O(N) cost and memory."""
+def _iterate(fac, phi0, k, log_factor, divisor) -> tuple[np.ndarray, np.ndarray]:
+    """(F^k, phi_k) for k >= 1 from the per-report :func:`_log_factor` and
+    :func:`_divisor`, at O(N) cost and memory."""
     Fk, omFk = _power(*log_factor, k)
-    safe, degenerate = safe_complement
+    safe, degenerate = divisor
     geom = np.divide(omFk, safe, out=omFk)
-    np.copyto(geom, float(k), where=degenerate)
+    if degenerate is not None:
+        np.copyto(geom, float(k), where=degenerate)
     phi = Fk * phi0.coeffs
     phi += np.multiply(geom, fac.z.coeffs, out=geom)
     return Fk, phi
@@ -366,13 +380,27 @@ def _report(kind, s, records, final_k, stop) -> IterationReport:
     return IterationReport(kind, s, tuple(records), final_k, reason)
 
 
+def _l2(v: np.ndarray) -> float:
+    """||v||_2 in np.linalg.norm's own arithmetic, sqrt(v.dot(v)).  A sum of
+    squares that overflows (from |v| of about 1.3e154 on) is taken again at
+    one exact power-of-two scale, so a finite v below the float max has a
+    finite norm; every finite sum keeps its bits."""
+    with np.errstate(over="ignore"):
+        ss = v.dot(v)
+        if ss != math.inf:
+            return math.sqrt(ss)
+        e = int(np.frexp(np.max(np.abs(v)))[1])
+        u = np.ldexp(v, -e)
+        return float(np.ldexp(math.sqrt(u.dot(u)), e))
+
+
 def _scale_norm(model: SpectrumModel, s: float):
-    """v -> ||v|| in the scale norm of index s, with the weights taken once;
-    v is overwritten.  sqrt(v.dot(v)) is np.linalg.norm's own arithmetic."""
+    """(v -> ||v|| in the scale norm of index s, overwriting v with the
+    weighted v; the weights), the weights taken once and None for s == 0."""
     if s == 0.0:
-        return lambda v: math.sqrt(v.dot(v))
+        return _l2, None
     weights = scale_weights(model, 0.5 * s)
-    return lambda v: math.sqrt(np.multiply(v, weights, out=v).dot(v))
+    return (lambda v: _l2(np.multiply(v, weights, out=v))), weights
 
 
 def _error_vs(reference: Optional[SpectralVec]):
@@ -380,9 +408,9 @@ def _error_vs(reference: Optional[SpectralVec]):
     reference is zero), or None without one; its norm is taken once."""
     if reference is None:
         return lambda coeffs: None
-    base = float(np.linalg.norm(reference.coeffs))
+    base = _l2(reference.coeffs)
     base = base if base > 0.0 else 1.0  # err / 1.0 is err
-    return lambda coeffs: float(np.linalg.norm(coeffs - reference.coeffs)) / base
+    return lambda coeffs: _l2(coeffs - reference.coeffs) / base
 
 
 def iterate_stepwise(
@@ -400,14 +428,32 @@ def iterate_stepwise(
     step, the budget wins and the reason reads ``"max_steps"``.  An exactly
     stationary iterate (diff == 0) always stops, tolerance or not, since
     no further step can change anything.
+
+    Only a step that may stop the run or is recorded needs the norm of
+    d = phi_k - phi_(k-1).  Step 1, each checkpoint and the last step of
+    the budget take it; so does any step that one witness mode cannot
+    clear.  The witness is the mode j of largest |w_j d_j| at the last
+    full step (w the norm weights, 1 for s = 0).  Its iterate a is carried
+    as a Python float through b = F_j a + z_j and x = (b - a) w_j, which
+    are the array's own IEEE operations on mode j, so x is that step's
+    weighted difference bit for bit.  The norm squared is a sum of
+    non-negative rounded terms, one of them x*x, and rounding is monotone,
+    so diff >= sqrt(x*x); a sum taken again at a scale is at least
+    max |w d| >= |x|.  Hence 0 < x*x < inf with sqrt(x*x) >= tol
+    proves diff != 0 and not diff < tol: such a step cannot stop the run,
+    and it is two elementwise passes, phi *= F then phi += z.  A witness
+    square that underflows to 0, overflows to inf or is NaN fails the test
+    and the step is taken in full.  Every output is bitwise that of taking
+    the norm on every step.
     """
     if phi0.model != fac.model:
         raise ConfigError("phi0 must live over the model of the factors")
     stop = schedule.stop
     s = stop.scale if stop.scale is not None else default_scale(fac.kind)
     F, z, tol, budget = fac.factors, fac.z.coeffs, stop.successive_diff_tol, stop.max_steps
-    norm, error = _scale_norm(fac.model, s), _error_vs(reference)
+    (norm, weights), error = _scale_norm(fac.model, s), _error_vs(reference)
     wanted = set(schedule.checkpoints)
+    full = {1, budget, *wanted}
 
     records: list[CheckpointRecord] = []
 
@@ -417,10 +463,18 @@ def iterate_stepwise(
             residual=norm((F * phi + z) - phi), error_vs_reference=error(phi),
         ))
 
-    # two iterate buffers swapped every step, plus one for the difference
+    # two iterate buffers swapped every full step, plus one for the difference
     phi = phi0.coeffs.copy()
     new, d = np.empty_like(phi), np.empty_like(phi)
     for k in range(1, budget + 1):
+        if k not in full:
+            b = Fj * a + zj
+            x = (b - a) * wj
+            a, q = b, x * x
+            if 0.0 < q < math.inf and math.sqrt(q) >= tol:
+                np.multiply(F, phi, out=phi)
+                phi += z
+                continue
         np.multiply(F, phi, out=new)
         new += z
         diff = norm(np.subtract(new, phi, out=d))
@@ -430,6 +484,9 @@ def iterate_stepwise(
             snapshot(k, phi, diff)
         if last:
             break
+        j = int(np.abs(d, out=d).argmax())  # d holds the weighted difference
+        a, Fj, zj = float(phi[j]), float(F[j]), float(z[j])
+        wj = 1.0 if weights is None else float(weights[j])
     return _report(fac.kind, s, records, k, stop)
 
 
@@ -455,8 +512,8 @@ def report_closed_form(
     s = stop.scale if stop.scale is not None else default_scale(fac.kind)
     w = fac.z.coeffs - fac.complements * phi0.coeffs  # first-step displacement
     tol = stop.successive_diff_tol
-    log_factor, safe_complement = _log_factor(fac), _safe_complement(fac.complements)
-    norm, error = _scale_norm(fac.model, s), _error_vs(reference)
+    log_factor, divisor = _log_factor(fac), _divisor(fac)
+    norm, error = _scale_norm(fac.model, s)[0], _error_vs(reference)
 
     checkpoints = sorted({*schedule.checkpoints, stop.max_steps})
 
@@ -464,7 +521,7 @@ def report_closed_form(
     final_k = stop.max_steps
     for k in checkpoints:  # one row of O(N) work each, never a (K x N) array
         Fkm1 = _factor_power(*log_factor, k - 1)
-        Fk, phi = _iterate(fac, phi0, k, log_factor, safe_complement)
+        Fk, phi = _iterate(fac, phi0, k, log_factor, divisor)
         diff = norm(np.multiply(Fkm1, w, out=Fkm1))
         records.append(CheckpointRecord(
             k=k, iterate=SpectralVec(phi, fac.model), successive_diff=diff,

@@ -548,38 +548,53 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
-def assert_reports_identical(got: IterationReport, want: IterationReport):
+def assert_reports_identical(got: IterationReport, want: IterationReport, past_overflow=False):
+    """Same records bit for bit.  With ``past_overflow``, a norm that
+    ``want`` reads as inf because its sum of squares overflowed may be
+    finite in ``got``, and then past 1e150, as such a norm is for N below
+    10^4."""
     assert (got.kind, got.scale, got.final_k, got.termination_reason) == (
         want.kind, want.scale, want.final_k, want.termination_reason
     )
     assert [r.k for r in got.records] == [r.k for r in want.records]
     for a, b in zip(got.records, want.records):
         assert same_bits(a.iterate.coeffs, b.iterate.coeffs), f"iterate at k={a.k}"
-        assert a.successive_diff == b.successive_diff, f"successive_diff at k={a.k}"
-        assert a.residual == b.residual, f"residual at k={a.k}"
-        assert a.error_vs_reference == b.error_vs_reference, f"error at k={a.k}"
+        for name in ("successive_diff", "residual", "error_vs_reference"):
+            x, y = getattr(a, name), getattr(b, name)
+            overflowed = past_overflow and y == math.inf and 1e150 < x < math.inf
+            assert x == y or overflowed, f"{name} at k={a.k}"
 
 
 @st.composite
-def factor_cases(draw):
+def factor_cases(draw, most_modes=24, scaled=False):
     """Factors of all three families, with F < 0 (parabolic gamma above
     exp(lambda_min^2 T)) and exactly zero complements (elliptic T lambda_max
-    up to 600, parabolic lambda_max^2 T up to 800) among the draws."""
-    n = draw(st.integers(1, 24))
-    if draw(st.booleans()):
+    up to 600, parabolic lambda_max^2 T up to 800) among the draws.
+
+    Past 24 modes the spectrum is a sine spectrum.  ``scaled`` multiplies
+    the data and phi0, but not the reference, by one of 1e-200, 1e-160,
+    1e-155, 1e-3, 1 and 1e150, one per case or one per mode, so that
+    squares under- and overflow."""
+    n = draw(st.integers(1, most_modes))
+    if n > 24 or draw(st.booleans()):
         m = make_sine_spectrum_1d(n, draw(st.floats(0.5, 20.0)))
     else:
         lam = draw(st.lists(st.floats(0.05, 60.0), min_size=n, max_size=n, unique=True))
         m = make_custom_spectrum(sorted(lam))
     lam_max = float(m.eigenvalues[-1])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 1.0
+    if scaled:
+        scales = np.array([1e-200, 1e-160, 1e-155, 1e-3, 1.0, 1e150])
+        scale = rng.choice(scales, n) if draw(st.booleans()) else draw(st.sampled_from(scales))
+    data = lambda: from_coeffs(m, scale * rng.standard_normal(n))  # noqa: E731
     coeffs = lambda: from_coeffs(m, rng.standard_normal(n))  # noqa: E731
     kind = draw(st.sampled_from(["elliptic", "hyperbolic", "parabolic"]))
     if kind == "elliptic":
-        spec = Elliptic(T=draw(st.floats(0.1, 600.0)) / lam_max, f=coeffs(), g=coeffs())
+        spec = Elliptic(T=draw(st.floats(0.1, 600.0)) / lam_max, f=data(), g=data())
     elif kind == "hyperbolic":
         try:
-            spec = Hyperbolic(T=draw(st.floats(0.05, 3.0)), f=coeffs(), g=coeffs())
+            spec = Hyperbolic(T=draw(st.floats(0.05, 3.0)), f=data(), g=data())
         except ResonanceError:
             assume(False)
     else:
@@ -588,9 +603,9 @@ def factor_cases(draw):
             T = draw(st.floats(0.01, 0.99)) * math.log(gamma) / float(m.eigenvalues[0]) ** 2
         else:
             T = draw(st.floats(1e-3, 800.0)) / lam_max**2
-        spec = Parabolic(T=T, f=coeffs(), gamma=gamma)
+        spec = Parabolic(T=T, f=data(), gamma=gamma)
     fac = build_factors(spec)
-    phi0 = coeffs() if draw(st.booleans()) else zeros(m)
+    phi0 = data() if draw(st.booleans()) else zeros(m)
     reference = draw(st.sampled_from([None, "random", "zero"]))
     reference = {None: None, "random": coeffs(), "zero": zeros(m)}[reference]
     return fac, phi0, reference
@@ -607,13 +622,15 @@ def schedules(draw, mode, most):
 
 
 class TestBitwiseAgainstReference:
-    @given(factor_cases(), st.data())
+    @given(factor_cases(most_modes=400, scaled=True), st.data())
     @settings(max_examples=200, deadline=None)
     def test_stepwise(self, case, data):
         fac, phi0, reference = case
-        sched = schedules(data.draw, "stepwise", 300)
+        sched = schedules(data.draw, "stepwise", 2000)
         got = iterate_stepwise(fac, phi0, sched, reference)
-        assert_reports_identical(got, ref_stepwise(fac, phi0, sched, reference))
+        with np.errstate(over="ignore"):  # the reference's squares overflow past 1.3e154
+            want = ref_stepwise(fac, phi0, sched, reference)
+        assert_reports_identical(got, want, past_overflow=True)
         assert got.records[-1].k == got.final_k
 
     @given(factor_cases(), st.data())
@@ -659,3 +676,84 @@ class TestBitwiseAgainstReference:
             sched = IterationSchedule(checkpoints=(1, 10, 100, 200), mode=mode, stop=stop)
             runner(fac, zeros(m), sched, fixed_point(fac))
             assert len(calls) <= 1, (mode, calls)
+
+    @staticmethod
+    def count_full_steps(monkeypatch):
+        """The number of np.subtract calls, one per step that takes its norm."""
+        calls = []
+        subtract = np.subtract
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return subtract(*args, **kwargs)
+
+        monkeypatch.setattr(np, "subtract", counting)
+        return calls
+
+    @pytest.mark.parametrize("scale", [None, 0.0, 1.0])
+    def test_norm_taken_at_few_steps(self, monkeypatch, scale):
+        m = make_sine_spectrum_1d(64, 1.0)
+        rng = np.random.default_rng(3)
+        g = from_coeffs(m, rng.standard_normal(64))
+        fac = build_factors(Elliptic(T=0.05, f=zeros(m), g=g))
+        sched = IterationSchedule(
+            checkpoints=(10, 100, 200), mode="stepwise", stop=StoppingRule(max_steps=200, scale=scale)
+        )
+        calls = self.count_full_steps(monkeypatch)
+        got = iterate_stepwise(fac, zeros(m), sched)
+        assert 4 <= len(calls) <= 6
+        monkeypatch.undo()
+        assert_reports_identical(got, ref_stepwise(fac, zeros(m), sched))
+
+    # Parabolic with gamma = 1, T = 1 over lambda = (0.1, 3): F is about
+    # (0.00995, 0.99988), so mode 1 decays a hundredfold per step and mode 2
+    # barely; z = f and phi0 = 0.  Full steps: step 1, the last step, and
+    # each step whose witness test fails.
+    @pytest.mark.parametrize(
+        "f, tol, budget, full, final_k",
+        [
+            # the witness (mode 1) squares to 0 at step 8 while mode 2 does not
+            ((2e-150, 1e-150), 0.0, 50, 3, 50),
+            # every square underflows at step 8: diff == 0.0 stops the run
+            ((2e-150, 0.0), 0.0, 50, 2, 8),
+            # step 2: the witness is below tol, the norm (mode 2) is not;
+            # mode 2 then decays to the tolerance stop
+            ((2.0, 1.0), 0.9, 1000, 3, 855),
+        ],
+    )
+    def test_witness_edges(self, monkeypatch, f, tol, budget, full, final_k):
+        m = make_custom_spectrum([0.1, 3.0])
+        fac = build_factors(Parabolic(T=1.0, f=from_coeffs(m, f), gamma=1.0))
+        stop = StoppingRule(max_steps=budget, successive_diff_tol=tol)
+        sched = IterationSchedule(checkpoints=(budget,), mode="stepwise", stop=stop)
+        calls = self.count_full_steps(monkeypatch)
+        got = iterate_stepwise(fac, zeros(m), sched)
+        assert (len(calls), got.final_k) == (full, final_k)
+        monkeypatch.undo()
+        assert_reports_identical(got, ref_stepwise(fac, zeros(m), sched))
+
+
+class TestNormOverflow:
+    """A norm whose sum of squares overflows is finite and leaks no warning:
+    the runs with data 1e160 read 2^600 times the runs with data 2^-600
+    times that, bit for bit, in both modes."""
+
+    @pytest.mark.parametrize("mode", ["stepwise", "closed_form"])
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_norms_past_square_overflow(self, mode, with_reference):
+        m = make_sine_spectrum_1d(64, 1.0)
+        g = 1e160 * np.random.default_rng(0).standard_normal(64)
+        sched = IterationSchedule(checkpoints=(1, 10), mode=mode)
+        reports = []
+        for data in (g, np.ldexp(g, -600)):
+            spec = Elliptic(T=0.5, f=zeros(m), g=from_coeffs(m, data))
+            fac = build_factors(spec)
+            reference = fixed_point(fac) if with_reference else None
+            reports.append(run_schedule(fac, zeros(m), sched, reference))
+        big, small = reports
+        assert [r.k for r in big.records] == [r.k for r in small.records] == [1, 10]
+        for a, b in zip(big.records, small.records):
+            assert math.isfinite(a.successive_diff) and a.successive_diff > 1e154
+            assert a.successive_diff == math.ldexp(b.successive_diff, 600)
+            assert a.residual == math.ldexp(b.residual, 600)
+            assert a.error_vs_reference == b.error_vs_reference
