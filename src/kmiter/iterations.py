@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateComplementError, config_number, describe_modes
 from .problems import Elliptic, Hyperbolic, Parabolic, ProblemSpec, _guard_overflow
-from .spectral import SpectralVec, SpectrumModel, scale_weights
+from .spectral import SpectralVec, SpectrumModel, _l2, scale_weights
 
 __all__ = [
     "IterationFactors",
@@ -380,20 +380,6 @@ def _report(kind, s, records, final_k, stop) -> IterationReport:
     return IterationReport(kind, s, tuple(records), final_k, reason)
 
 
-def _l2(v: np.ndarray) -> float:
-    """||v||_2 in np.linalg.norm's own arithmetic, sqrt(v.dot(v)).  A sum of
-    squares that overflows (from |v| of about 1.3e154 on) is taken again at
-    one exact power-of-two scale, so a finite v below the float max has a
-    finite norm; every finite sum keeps its bits."""
-    with np.errstate(over="ignore"):
-        ss = v.dot(v)
-        if ss != math.inf:
-            return math.sqrt(ss)
-        e = int(np.frexp(np.max(np.abs(v)))[1])
-        u = np.ldexp(v, -e)
-        return float(np.ldexp(math.sqrt(u.dot(u)), e))
-
-
 def _scale_norm(model: SpectrumModel, s: float):
     """(v -> ||v|| in the scale norm of index s, overwriting v with the
     weighted v; the weights), the weights taken once and None for s == 0."""
@@ -573,6 +559,25 @@ class ConditionReport:
     tol: float
 
 
+def _condition_sums(w, F, comp, xc) -> tuple:
+    """||x||^2, ||Fx||^2, ||(1 - F)x||^2 and <(1 - F)x, x> in the weights w;
+    a square past the float max reads inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = comp * xc
+        return (
+            float(np.dot(w, xc * xc)),
+            float(np.dot(w, (F * xc) ** 2)),
+            float(np.dot(w, dx * dx)),
+            float(np.dot(w, dx * xc)),
+        )
+
+
+def _worse(a: float, b: float) -> float:
+    """max(a, b), except that a NaN on either side wins: a violation that
+    could not be computed is never dropped."""
+    return b if b > a or b != b else a
+
+
 def check_operator_conditions(
     fac: IterationFactors,
     sample_vectors: Sequence[SpectralVec],
@@ -585,6 +590,11 @@ def check_operator_conditions(
 
     The constant ``c`` must be positive.  Returns the worst signed violation
     across the samples and all three checks, plus which sample attained it.
+    A sample whose sums overflow (coefficients past about 1.3e154) is
+    checked at one exact power-of-two scale that brings its largest
+    coefficient into [0.5, 1), and its violations are those of the scaled
+    sample.  A violation that is NaN (a sample with inf or NaN coefficients)
+    is reported as NaN, and the checks it enters fail.
     """
     if not sample_vectors:
         raise ConfigError("sample_vectors must be non-empty")
@@ -603,24 +613,25 @@ def check_operator_conditions(
     for i, x in enumerate(sample_vectors):
         if x.model != model:
             raise ConfigError(f"sample {i} lives over a different model")
-        xc = x.coeffs
-        n2 = float(np.dot(w, xc * xc))
-        Tn2 = float(np.dot(w, (F * xc) ** 2))
-        dx = comp * xc
-        d2 = float(np.dot(w, dx * dx))
-        ip = float(np.dot(w, dx * xc))
+        sums = _condition_sums(w, F, comp, x.coeffs)
+        if not all(map(math.isfinite, sums)):
+            # every check is homogeneous in x: at one exact power-of-two
+            # scale the verdicts are those of the scaled sample
+            e = int(np.frexp(np.max(np.abs(x.coeffs)))[1])
+            sums = _condition_sums(w, F, comp, np.ldexp(x.coeffs, -e))
+        n2, Tn2, d2, ip = sums
         viol1 = d2 - c * (n2 - Tn2)
         viol2 = (c + 1.0) / (2.0 * c) * d2 - ip
         violn = math.sqrt(Tn2) - math.sqrt(n2)
-        v1, v2, vn = max(v1, viol1), max(v2, viol2), max(vn, violn)
-        here = max(viol1, viol2, violn)
-        if here > worst_val:
+        v1, v2, vn = _worse(v1, viol1), _worse(v2, viol2), _worse(vn, violn)
+        here = _worse(_worse(viol1, viol2), violn)
+        if not (here <= worst_val) and worst_val == worst_val:  # the first NaN stays
             worst_val, worst = here, i
     return ConditionReport(
         nonexpansive=vn <= tol,
         condition1_holds=v1 <= tol,
         condition2_holds=v2 <= tol,
-        max_violation=max(v1, v2, vn),
+        max_violation=_worse(_worse(v1, v2), vn),
         condition1_violation=v1,
         condition2_violation=v2,
         nonexpansive_violation=vn,

@@ -18,7 +18,9 @@ Measured data enters the reconstruction pipeline three ways:
    cutoffs, and :func:`select_n_star` picks the minimizer.  Both share one
    O(N log N) pass over the sorted spectrum rather than O(N) work per
    candidate; the measured error it reports comes from prefix and suffix
-   sums and matches a per-candidate ``norm_s`` to 1e-13 relative.
+   sums and matches a per-candidate ``norm_s`` to 1e-13 relative.  The
+   source condition keeps G on the last candidate grid, so the selection
+   after a curve on the same plan and grid does not call G again.
 
 Cutoffs only matter at eigenvalues, so candidates are placed at midpoints
 between consecutive distinct eigenvalues plus one sentinel below the lowest
@@ -28,6 +30,7 @@ and one above the highest.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -152,8 +155,13 @@ class SourceCondition:
 
     ``M`` is the source constant: M^2 = sum_j (1+lambda_j^2)^s G(lambda_j)^2
     phibar_j^2 for the true trace phibar.  ``G`` must be increasing and
-    positive with G -> infinity; ``s`` is the norm index in which errors and
-    bounds are measured (the iteration space index in practice).
+    positive with G -> infinity, a function of lambda alone; ``s`` is the
+    norm index in which errors and bounds are measured (the iteration space
+    index in practice).
+
+    The bound curve calls G once per candidate grid: a condition keeps the
+    values of G on the last grid it saw, and a condition made by
+    ``dataclasses.replace`` starts without them.
     """
 
     M: float
@@ -163,6 +171,20 @@ class SourceCondition:
     def __post_init__(self):
         if not (self.M >= 0.0) or not math.isfinite(self.M):
             raise ConfigError(f"M must be a non-negative finite real, got {self.M!r}")
+
+    def _weights_at(self, xs: np.ndarray) -> np.ndarray:
+        """G at each value of ``xs``, refused as :func:`_source_weights`
+        refuses it.  The values of the last array (keyed by its bytes) are
+        kept read-only and returned again for an equal array; a refusal is
+        never kept, so it is raised again on the next call."""
+        key = xs.tobytes()
+        kept = getattr(self, "_last_weights", None)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        g = _source_weights(self.G, xs.tolist())
+        g.flags.writeable = False
+        object.__setattr__(self, "_last_weights", (key, g))
+        return g
 
 
 @dataclasses.dataclass(frozen=True)
@@ -331,8 +353,7 @@ def _bound_arrays(
             )
     lam, comp = fac.model.eigenvalues, fac.complements
     kept = np.searchsorted(lam, grid, side="right")  # count of lam <= n; lam is sorted
-    truncating = grid[kept < lam.size].tolist()  # a prefix of the sorted grid
-    Gn = _source_weights(plan.source.G, truncating)
+    Gn = plan.source._weights_at(grid[kept < lam.size])  # a prefix of the sorted grid
     tail = np.concatenate((plan.source.M / Gn, np.zeros(grid.size - Gn.size)))
     safe, degenerate = _safe_complement(comp)  # degenerate: -0.0 too
     with np.errstate(all="ignore"):
@@ -372,7 +393,8 @@ def error_bound_curve(
     regularized fixed point is reported in the source's scale norm.
 
     All C candidates share one O(N + C log N) pass (plus one call of G per
-    truncating candidate): a ``searchsorted`` gives each retained count, a
+    truncating candidate, none when the plan's source condition last saw
+    the same grid): a ``searchsorted`` gives each retained count, a
     running maximum of 1/(1 - F) the amplification, and prefix and suffix
     sums the measured error.  Tail, amplification and bound are bitwise
     those of a per-candidate evaluation; ``true_error`` equals ``norm_s`` of
@@ -386,7 +408,8 @@ def error_bound_curve(
     columns = (
         grid.tolist(), tail.tolist(), amp.tolist(), bound.tolist(), errors, kept.tolist(), lam_max
     )
-    return list(map(BoundPoint._make, zip(*columns)))
+    # BoundPoint._make without its Python frame per point; zip gives 7 fields each
+    return list(map(tuple.__new__, itertools.repeat(BoundPoint), zip(*columns)))
 
 
 @dataclasses.dataclass(frozen=True)

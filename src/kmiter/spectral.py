@@ -299,17 +299,33 @@ def scale_weights(model: SpectrumModel, s: float) -> np.ndarray:
     return np.power(1.0 + lam * lam, float(s))
 
 
+def _l2(v: np.ndarray) -> float:
+    """||v||_2 in np.linalg.norm's own arithmetic, sqrt(v.dot(v)).  A sum of
+    squares that overflows (from |v| of about 1.3e154 on) is taken again at
+    one exact power-of-two scale, so a finite v below the float max has a
+    finite norm; every finite sum keeps its bits."""
+    with np.errstate(over="ignore"):
+        ss = v.dot(v)
+        if ss != math.inf:
+            return math.sqrt(ss)
+        e = int(np.frexp(np.max(np.abs(v)))[1])
+        u = np.ldexp(v, -e)
+        return float(np.ldexp(math.sqrt(u.dot(u)), e))
+
+
 def norm_s(v: SpectralVec, s: float) -> float:
     """Scale norm ||v||_s; ``s = 0`` is the plain L2 norm of the coefficients.
 
-    Magnitudes beyond sqrt(float max) come back as inf rather than raising;
-    callers that care apply their own overflow guards before squaring.
+    Bitwise ``np.linalg.norm`` of the weighted coefficients wherever their
+    sum of squares is finite; past that (from about 1.3e154 on) the sum is
+    taken at one exact power-of-two scale, so the norm of a finite weighted
+    vector is finite.  Only a weighted coefficient that itself overflows
+    gives inf.
     """
+    if s == 0.0:
+        return _l2(v.coeffs)
     with np.errstate(over="ignore"):
-        if s == 0.0:
-            return float(np.linalg.norm(v.coeffs))
-        w = scale_weights(v.model, 0.5 * s)
-        return float(np.linalg.norm(w * v.coeffs))
+        return _l2(scale_weights(v.model, 0.5 * s) * v.coeffs)
 
 
 def inner(v: SpectralVec, w: SpectralVec) -> float:

@@ -11,11 +11,15 @@ The functions at the end are the row-by-row grid CSV reader and writer that
 built as one frozen dataclass per candidate, which
 :func:`kmiter.regularization.error_bound_curve` replaced with one pass over
 its columns; tests require the library to accept, refuse and return exactly
-what they do.
+what they do.  Last comes the sample loop of
+:func:`kmiter.iterations.check_operator_conditions` before it scaled samples
+whose sums overflow, which the library must match bit for bit wherever the
+sums are finite.
 """
 
 import csv
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
@@ -23,6 +27,7 @@ import numpy as np
 from kmiter.errors import ConfigError
 from kmiter.gridio import make_grid_function
 from kmiter.regularization import _bound_arrays
+from kmiter.spectral import scale_weights
 
 FIVE_PI = 15.7079632679489661923  # 5*pi
 HALF_PI = 1.57079632679489661923  # pi/2
@@ -159,3 +164,31 @@ def error_bound_curve(plan, fac, phibar_reference=None, candidates=None):
             errors, kept.tolist(), lam_max,
         )
     ]
+
+
+# ---------------------------------------------------------------------------
+# the operator-condition sums, without a scale
+
+
+def condition_violations(fac, sample_vectors, c, scale):
+    """(condition 1, condition 2, non-expansive, worst sample), taken as
+    running Python maxima of the unscaled per-sample sums."""
+    w = scale_weights(fac.model, scale)
+    F, comp = fac.factors, fac.complements
+    v1 = v2 = vn = worst_val = -math.inf
+    worst = 0
+    for i, x in enumerate(sample_vectors):
+        xc = x.coeffs
+        n2 = float(np.dot(w, xc * xc))
+        Tn2 = float(np.dot(w, (F * xc) ** 2))
+        dx = comp * xc
+        d2 = float(np.dot(w, dx * dx))
+        ip = float(np.dot(w, dx * xc))
+        viol1 = d2 - c * (n2 - Tn2)
+        viol2 = (c + 1.0) / (2.0 * c) * d2 - ip
+        violn = math.sqrt(Tn2) - math.sqrt(n2)
+        v1, v2, vn = max(v1, viol1), max(v2, viol2), max(vn, violn)
+        here = max(viol1, viol2, violn)
+        if here > worst_val:
+            worst_val, worst = here, i
+    return v1, v2, vn, worst

@@ -1,4 +1,5 @@
 import math
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -417,6 +418,63 @@ class TestOperatorConditions:
                 assert rep.condition1_violation == pytest.approx(
                     2.0 * c * rep.condition2_violation, rel=1e-9, abs=1e-13
                 )
+
+    def test_sample_past_the_square_overflow_scales_exactly(self):
+        # coefficients near 1e160: every sum overflows, and unscaled each
+        # violation would be inf - inf = nan
+        m = make_sine_spectrum_1d(64, 1.0)
+        g = from_coeffs(m, 1e160 * np.random.default_rng(0).standard_normal(64))
+        fac = build_factors(Elliptic(T=0.5, f=zeros(m), g=g))
+        small = from_coeffs(m, np.ldexp(g.coeffs, -600))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check_operator_conditions(fac, [g], c=1.0)
+            want = check_operator_conditions(fac, [small], c=1.0)
+        verdicts = ("nonexpansive", "condition1_holds", "condition2_holds")
+        assert [getattr(rep, v) for v in verdicts] == [getattr(want, v) for v in verdicts]
+        assert all(getattr(rep, v) for v in verdicts)
+        violations = (
+            rep.max_violation, rep.condition1_violation,
+            rep.condition2_violation, rep.nonexpansive_violation,
+        )
+        assert all(math.isfinite(v) for v in violations)
+
+    def test_nan_violation_is_never_dropped(self):
+        m = make_sine_spectrum_1d(4, 1.0)
+        fac = build_factors(Elliptic(T=0.5, f=zeros(m), g=unit_mode(m, 1)))
+        for bad in (math.nan, math.inf):
+            x = from_coeffs(m, [1.0, bad, 0.0, 0.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rep = check_operator_conditions(fac, [unit_mode(m, 2), x, unit_mode(m, 3)], c=1.0)
+            assert not (rep.nonexpansive or rep.condition1_holds or rep.condition2_holds)
+            assert math.isnan(rep.max_violation)
+            assert rep.worst_sample == 1
+
+    @given(
+        st.lists(st.floats(-1e150, 1e150, allow_subnormal=False), min_size=3, max_size=3),
+        st.integers(1, 3),
+        st.floats(0.1, 10.0),
+        st.sampled_from([-1.0, -0.5, 0.0, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_report_bitwise_unchanged_where_sums_are_finite(self, coeffs, count, c, scale):
+        m = make_sine_spectrum_1d(3, 1.0)
+        fac = build_factors(Elliptic(T=0.5, f=zeros(m), g=unit_mode(m, 1)))
+        rng = np.random.default_rng(len(coeffs) + count)
+        samples = [from_coeffs(m, coeffs)] + [
+            from_coeffs(m, rng.standard_normal(3)) for _ in range(count - 1)
+        ]
+        with np.errstate(over="ignore"):
+            want = oracles.condition_violations(fac, samples, c, scale)
+        assume(all(math.isfinite(v) for v in want[:3]))
+        rep = check_operator_conditions(fac, samples, c=c, scale=scale)
+        got = (
+            rep.condition1_violation, rep.condition2_violation,
+            rep.nonexpansive_violation, rep.worst_sample,
+        )
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        assert repr(rep.max_violation) == repr(max(want[:3]))
 
     def test_sample_validation(self):
         fac = build_factors(elliptic_unit())

@@ -433,7 +433,8 @@ def ref_trajectory_norm(spec, traj, tn):
     with np.errstate(over="ignore"):
         for i, t in enumerate(ts):
             u, du = traj(float(t))
-            vals[i] = norm_s(u, 1.0) ** 2 + norm_s(du, dt_scale) ** 2
+            # numpy squares: a finite norm past 1.3e154 squares to inf
+            vals[i] = np.float64(norm_s(u, 1.0)) ** 2 + np.float64(norm_s(du, dt_scale)) ** 2
         if tn.which == "Vh":
             return float(np.sqrt(np.max(vals)))
         return float(np.sqrt(np.trapezoid(vals, ts)))

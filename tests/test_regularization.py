@@ -473,6 +473,50 @@ class TestSourceHelpers:
         with pytest.raises(ConfigError, match=r"^G\(5e\+99\) overflows a float$"):
             select_n_star(plan, fac)
 
+    def test_source_weights_kept_per_grid(self):
+        plan, fac, phibar = _elliptic_plan(n_modes=40)
+        calls = []
+
+        def G(lam, G0=plan.source.G):
+            calls.append(lam)
+            return G0(lam)
+
+        plan = dataclasses.replace(plan, source=dataclasses.replace(plan.source, G=G))
+        want_curve = error_bound_curve(
+            RegularizerPlan(plan.n, plan.eps_prime, dataclasses.replace(plan.source)),
+            fac, phibar_reference=phibar,
+        )
+        calls.clear()
+        curve = error_bound_curve(plan, fac, phibar_reference=phibar)
+        sel = select_n_star(plan, fac)
+        truncating = sum(p.retained < fac.model.n_modes for p in curve)
+        assert truncating == 40 and len(calls) == truncating
+        assert curve == want_curve and all(type(p) is BoundPoint for p in curve)
+        assert sel.bound_at_star == curve[sel.index].bound
+        # a replaced condition, then another grid, evaluate G afresh
+        calls.clear()
+        select_n_star(dataclasses.replace(plan, source=dataclasses.replace(plan.source)), fac)
+        assert len(calls) == truncating
+        calls.clear()
+        grid = [p.n for p in curve[::2]]
+        custom = select_n_star(plan, fac, candidates=grid)
+        assert len(calls) == sum(p.retained < fac.model.n_modes for p in curve[::2])
+        calls.clear()
+        assert error_bound_curve(plan, fac, candidates=grid)[custom.index].bound == custom.bound_at_star
+        assert calls == []
+
+    def test_refused_source_weight_is_refused_again(self):
+        m = make_custom_spectrum([1.0, 2.0])
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=zeros(m)))
+        results = [math.nan, 1.0]
+        src = SourceCondition(M=1.0, G=lambda lam: results[0], s=0.0)
+        plan = RegularizerPlan(n=1.0, eps_prime=0.0, source=src)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=r"^G\(0\.5\) = nan is not a positive finite value$"):
+                error_bound_curve(plan, fac)
+        results.reverse()  # G now returns 1.0: nothing refused was kept
+        assert [p.tail_bound for p in error_bound_curve(plan, fac)] == [1.0, 1.0, 0.0]
+
     def test_source_constant_refuses_what_the_curve_refuses(self):
         m = make_custom_spectrum([1.0, 2.0])
         phibar = from_coeffs(m, [1.0, 0.0])

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kmiter.errors import ConfigError, EvaluationError, ModelMismatchError
 from kmiter.spectral import (
@@ -184,6 +186,33 @@ class TestScaleNorm:
     def test_unit_coefficient_l2(self):
         m = make_sine_spectrum_1d(3, 1.0)
         assert norm_s(from_coeffs(m, [1.0, 0.0, 0.0]), 0.0) == 1.0
+
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_finite_past_the_square_overflow(self, s):
+        # the sum of squares of coefficients near 1e160 overflows; the norm
+        # is that of the sample scaled by 2**-600, scaled back exactly
+        m = make_sine_spectrum_1d(64, 1.0)
+        g = 1e160 * np.random.default_rng(0).standard_normal(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = norm_s(from_coeffs(m, g), s)
+            small = norm_s(from_coeffs(m, np.ldexp(g, -600)), s)
+        assert math.isfinite(got)
+        assert got == math.ldexp(small, 600)
+
+    @given(
+        st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=40),
+        st.sampled_from([0.0, -1.0, -0.5, 0.5, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bits_of_linalg_norm_where_the_sum_is_finite(self, coeffs, s):
+        m = make_sine_spectrum_1d(len(coeffs), 1.0)
+        c = np.asarray(coeffs)
+        weighted = c if s == 0.0 else scale_weights(m, 0.5 * s) * c
+        with np.errstate(over="ignore"):
+            want = float(np.linalg.norm(weighted))
+        assume(math.isfinite(want))
+        assert repr(norm_s(from_coeffs(m, c), s)) == repr(want)
 
     def test_index_one(self):
         m = make_custom_spectrum([math.pi])
