@@ -4,11 +4,12 @@ A single JSON document configures an experiment end to end: the spectrum,
 the problem with its data sources, the iteration schedule, optional noise,
 and where to write the report.  :func:`run_experiment` executes one such
 configuration against the closed-form oracle of :mod:`kmiter.problems`;
-:func:`run_convergence_table` and :func:`run_decay_table` assemble the two
-benchmark tables (relative L2 error per mode over step checkpoints for the
-elliptic problem, and the backward-heat decay comparison for two diffusion
-constants); :func:`run_cutoff_study` drives the noisy regularization
-pipeline and reports the bound curve with the selected cutoff.
+:func:`run_cutoff_study` runs the noisy regularization pipeline on the
+same data set-up, with fixed elliptic data, and reports the bound curve
+with the selected cutoff; :func:`run_convergence_table` and
+:func:`run_decay_table` assemble the two benchmark tables (relative L2
+error per mode over step checkpoints for the elliptic problem, and the
+backward-heat decay comparison for two diffusion constants).
 
 Reports serialize to CSV (header ``k,rel_error,successive_diff,residual``),
 JSON (lossless, including the spectrum model, so reports can be parsed back
@@ -38,6 +39,7 @@ from .iterations import (
     IterationSchedule,
     StoppingRule,
     build_factors,
+    default_scale,
     run_schedule,
 )
 from .problems import (
@@ -259,16 +261,24 @@ def resolve_source(src: dict, model: SpectrumModel) -> SpectralVec:
     ``parabolic_terminal`` generator takes its ``u0`` as a nested source.
     Its keys are checked against :data:`CONFIG_KEYS`.
     """
+    return _resolve_source(src, model)[0]
+
+
+def _resolve_source(src: dict, model: SpectrumModel):
+    """The datum of :func:`resolve_source` and, for a ``parabolic_terminal``
+    datum with a nested ``u0``, ``(u0, T / a2)``: its trace (else None)."""
     src = _checked(src, "source", where="data source")
     if "csv" in src:
-        return ingest_grid(read_grid_csv(src["csv"]), model)
+        return ingest_grid(read_grid_csv(src["csv"]), model), None
     if "coeffs" in src:
-        return from_coeffs(model, _numbers(src["coeffs"], "data source coeffs"))
+        return from_coeffs(model, _numbers(src["coeffs"], "data source coeffs")), None
     params = src  # a copy, so the generator's name and u0 can be replaced
     gen = params.pop("generator")
-    if gen == "parabolic_terminal" and isinstance(params.get("u0"), dict):
-        params["u0"] = resolve_source(params["u0"], model)
-    return synth_data(gen, model, **params)
+    if not (gen == "parabolic_terminal" and isinstance(params.get("u0"), dict)):
+        return synth_data(gen, model, **params), None
+    params["u0"] = resolve_source(params["u0"], model)
+    datum = synth_data(gen, model, **params)
+    return datum, (params["u0"], float(params["T"]) / float(params.get("a2", 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,55 +343,52 @@ def _build_schedule(schedule: dict) -> IterationSchedule:
     )
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Execute one configured run against the closed-form reference.
+def _data_stage(problem: dict, spectrum: dict, noise: Optional[dict]):
+    """``(model, clean problem, noisy problem, reference)`` of one run.
 
-    The reference trace is always computed from the clean data; when a
-    noise section is present the iteration itself runs on perturbed data
-    (the level is split evenly across the two data components of the
-    second-order problems; the parabolic terminal state takes the full
-    level).  Reports land in the configured output file, if any.
+    The reference is the trace of the clean data.  A ``noise`` section
+    perturbs the data of the noisy problem (else it is the clean one): a
+    second-order problem splits the level evenly across f and g, with seeds
+    ``seed`` and ``seed + 1``; the parabolic terminal state takes it whole.
     """
-    model = build_model(cfg.spectrum)
-    kind = cfg.problem["kind"]
-    f_src = cfg.problem["f"]
-    u0 = None
-    terminal = isinstance(f_src, dict) and f_src.get("generator") == "parabolic_terminal"
-    if kind == "parabolic" and terminal:
-        u0 = f_src.get("u0")
-        if isinstance(u0, dict):
-            u0 = resolve_source(u0, model)
-            f_src = {**f_src, "u0": u0}
-    f = resolve_source(f_src, model)
-    g = resolve_source(cfg.problem["g"], model) if kind != "parabolic" else None
-
-    clean_spec = _build_problem(cfg.problem, model, f, g)
+    model = build_model(spectrum)
+    kind = problem["kind"]
+    f, trace = _resolve_source(problem["f"], model)
+    g = resolve_source(problem["g"], model) if kind != "parabolic" else None
+    clean = _build_problem(problem, model, f, g)
     # A terminal datum made from a known u0 over the problem's own horizon has
     # u0 as its exact trace; rebuilding it through exp(+lambda^2 T) would
     # overflow on modes where the datum underflowed.
-    if u0 is not None and float(f_src["T"]) / float(f_src.get("a2", 1.0)) == clean_spec.T:
-        reference = u0
+    if kind == "parabolic" and trace is not None and trace[1] == clean.T:
+        reference = trace[0]
     else:
-        reference = _oracle_reference(clean_spec)
-
-    if cfg.noise is not None:
-        eps = config_number(cfg.noise["eps"], "noise.eps")
-        seed = config_number(cfg.noise["seed"], "noise.seed", int)
-        scale = config_number(cfg.noise.get("norm_scale", 0.0), "noise.norm_scale")
-        if kind == "parabolic":
-            f = add_noise(f, NoiseSpec(eps=eps, seed=seed, norm_scale=scale))
-        else:
-            half = eps / math.sqrt(2.0)
-            f = add_noise(f, NoiseSpec(eps=half, seed=seed, norm_scale=scale))
-            g = add_noise(g, NoiseSpec(eps=half, seed=seed + 1, norm_scale=scale))
-        spec = _build_problem(cfg.problem, model, f, g)
+        reference = _oracle_reference(clean)
+    if noise is None:
+        return model, clean, clean, reference
+    eps = config_number(noise["eps"], "noise.eps")
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ConfigError(f"noise.eps must be positive and finite, got {eps!r}")
+    seed = config_number(noise["seed"], "noise.seed", int)
+    scale = config_number(noise.get("norm_scale", 0.0), "noise.norm_scale")
+    if kind == "parabolic":
+        f = add_noise(f, NoiseSpec(eps=eps, seed=seed, norm_scale=scale))
     else:
-        spec = clean_spec
+        half = eps / math.sqrt(2.0)
+        f = add_noise(f, NoiseSpec(eps=half, seed=seed, norm_scale=scale))
+        g = add_noise(g, NoiseSpec(eps=half, seed=seed + 1, norm_scale=scale))
+    return model, clean, _build_problem(problem, model, f, g), reference
 
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Execute one configured run against the closed-form reference.
+
+    Data, reference and noise come from :func:`_data_stage`, as in
+    :func:`run_cutoff_study`.  Reports land in the configured output file,
+    if any.
+    """
+    model, _, spec, reference = _data_stage(cfg.problem, cfg.spectrum, cfg.noise)
     fac = build_factors(spec)
-    schedule = _build_schedule(cfg.schedule)
-    phi0 = zeros(model)
-    report = run_schedule(fac, phi0, schedule, reference=reference)
+    report = run_schedule(fac, zeros(model), _build_schedule(cfg.schedule), reference=reference)
 
     paths = ()
     if cfg.output is not None and cfg.output.get("path"):
@@ -510,25 +517,21 @@ def run_cutoff_study(
 ) -> CutoffStudyResult:
     """Noisy elliptic reconstruction with spectral-cutoff selection.
 
-    Builds a clean elliptic instance with known trace, perturbs the data at
-    level ``eps`` (split across the two components), measures the induced
-    error on the affine term, and evaluates the a-priori bound over all
-    candidate cutoffs; the selected cutoff is compared against the best
-    measured error on the grid.
+    The data set-up and noise split are those of ``elliptic --eps``, on
+    fixed data: T = 0.25, f = 0, g = ``piecewise_profile``.  The trace is
+    the oracle du/dt(T) of the clean data, not data built from a known
+    trace.  The study measures the induced error on the affine term at
+    s = -1/2, evaluates the a-priori bound over all candidate cutoffs, and
+    compares the selected cutoff with the best measured error on the grid.
     """
-    model = make_sine_spectrum_1d(int(n_modes), 1.0)
-    f = zeros(model)
-    g = resolve_source({"generator": "piecewise_profile"}, model)
-    clean = Elliptic(T=CUTOFF_T, f=f, g=g)
-    fac_clean = build_factors(clean)
-    phibar = elliptic_dt_solution_at(clean, clean.T)
-
-    half = float(eps) / math.sqrt(2.0)
-    f_eps = add_noise(f, NoiseSpec(eps=half, seed=int(seed)))
-    g_eps = add_noise(g, NoiseSpec(eps=half, seed=int(seed) + 1))
-    fac_noisy = build_factors(Elliptic(T=CUTOFF_T, f=f_eps, g=g_eps))
-
-    s = -0.5
+    model, clean, noisy, phibar = _data_stage(
+        {"kind": "elliptic", "T": CUTOFF_T, "f": {"generator": "zero"},
+         "g": {"generator": "piecewise_profile"}},
+        {"basis": "sine1d", "n_modes": n_modes, "length": 1.0},
+        {"eps": eps, "seed": seed},
+    )
+    fac_clean, fac_noisy = build_factors(clean), build_factors(noisy)
+    s = default_scale("elliptic")
     G = power_source_function(CUTOFF_SOURCE_Q)
     source = SourceCondition(M=source_constant(phibar, G, s), G=G, s=s)
     eps_prime = measure_eps_prime(fac_clean, fac_noisy, s)
@@ -537,13 +540,9 @@ def run_cutoff_study(
     curve = error_bound_curve(plan, fac_noisy, phibar_reference=phibar)
     selection = select_n_star(plan, fac_noisy)
     measured = [p.true_error for p in curve]
-    error_at_star = measured[selection.index]
     return CutoffStudyResult(
-        curve=tuple(curve),
-        selection=selection,
-        eps_prime=eps_prime,
-        error_at_star=float(error_at_star),
-        best_error=float(min(measured)),
+        curve=tuple(curve), selection=selection, eps_prime=eps_prime,
+        error_at_star=float(measured[selection.index]), best_error=float(min(measured)),
         model=model,
     )
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateComplementError, config_number, describe_modes
 from .problems import Elliptic, Hyperbolic, Parabolic, ProblemSpec, _guard_overflow
-from .spectral import SpectralVec, SpectrumModel, _l2, scale_weights
+from .spectral import SpectralVec, SpectrumModel, _l2, norm_s, scale_weights
 
 __all__ = [
     "IterationFactors",
@@ -542,8 +542,9 @@ class ConditionReport:
     Condition (1): ||(I-T)x||^2 <= c (||x||^2 - ||Tx||^2).
     Condition (2): <(I-T)x, x>  >= (c+1)/(2c) ||(I-T)x||^2.
     Both are evaluated for the linear part T = F(A) in the scale norm of the
-    iteration space.  Violations are signed (positive = inequality broken);
-    a condition "holds" when its worst violation stays within ``tol``.
+    iteration space, on samples scaled to unit norm there.  Violations are
+    signed (positive = inequality broken); a condition "holds" when its
+    worst violation stays within ``tol``.
     """
 
     nonexpansive: bool
@@ -557,19 +558,6 @@ class ConditionReport:
     c: float
     scale: float
     tol: float
-
-
-def _condition_sums(w, F, comp, xc) -> tuple:
-    """||x||^2, ||Fx||^2, ||(1 - F)x||^2 and <(1 - F)x, x> in the weights w;
-    a square past the float max reads inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = comp * xc
-        return (
-            float(np.dot(w, xc * xc)),
-            float(np.dot(w, (F * xc) ** 2)),
-            float(np.dot(w, dx * dx)),
-            float(np.dot(w, dx * xc)),
-        )
 
 
 def _worse(a: float, b: float) -> float:
@@ -590,11 +578,11 @@ def check_operator_conditions(
 
     The constant ``c`` must be positive.  Returns the worst signed violation
     across the samples and all three checks, plus which sample attained it.
-    A sample whose sums overflow (coefficients past about 1.3e154) is
-    checked at one exact power-of-two scale that brings its largest
-    coefficient into [0.5, 1), and its violations are those of the scaled
-    sample.  A violation that is NaN (a sample with inf or NaN coefficients)
-    is reported as NaN, and the checks it enters fail.
+    Every check is homogeneous in the sample, so each sample is checked
+    scaled to unit s-norm: violations are relative to the sample's size,
+    and the verdicts do not depend on it.  A zero sample reads violations
+    0.  A sample whose norm is not finite, or that holds inf or NaN, reads
+    NaN violations, and the checks they enter fail.
     """
     if not sample_vectors:
         raise ConfigError("sample_vectors must be non-empty")
@@ -613,13 +601,12 @@ def check_operator_conditions(
     for i, x in enumerate(sample_vectors):
         if x.model != model:
             raise ConfigError(f"sample {i} lives over a different model")
-        sums = _condition_sums(w, F, comp, x.coeffs)
-        if not all(map(math.isfinite, sums)):
-            # every check is homogeneous in x: at one exact power-of-two
-            # scale the verdicts are those of the scaled sample
-            e = int(np.frexp(np.max(np.abs(x.coeffs)))[1])
-            sums = _condition_sums(w, F, comp, np.ldexp(x.coeffs, -e))
-        n2, Tn2, d2, ip = sums
+        r = norm_s(x, s)
+        # unit s-norm; a norm that is not finite makes every sum NaN
+        xc = x.coeffs / (r if math.isfinite(r) else math.nan) if r else x.coeffs
+        dx = comp * xc
+        n2, Tn2 = float(np.dot(w, xc * xc)), float(np.dot(w, (F * xc) ** 2))
+        d2, ip = float(np.dot(w, dx * dx)), float(np.dot(w, dx * xc))
         viol1 = d2 - c * (n2 - Tn2)
         viol2 = (c + 1.0) / (2.0 * c) * d2 - ip
         violn = math.sqrt(Tn2) - math.sqrt(n2)

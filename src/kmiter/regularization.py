@@ -69,7 +69,7 @@ class NoiseSpec:
     """Seeded synthetic noise of an exact scale-norm size.
 
     ``eps`` is the norm of the perturbation (not squared) measured in the
-    scale norm of index ``norm_scale``.
+    scale norm of index ``norm_scale``; ``seed`` is a non-negative integer.
     """
 
     eps: float
@@ -79,6 +79,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.eps > 0.0) or not math.isfinite(self.eps):
             raise ConfigError(f"eps must be positive and finite, got {self.eps!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def add_noise(v: SpectralVec, ns: NoiseSpec) -> SpectralVec:

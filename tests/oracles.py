@@ -12,9 +12,9 @@ built as one frozen dataclass per candidate, which
 :func:`kmiter.regularization.error_bound_curve` replaced with one pass over
 its columns; tests require the library to accept, refuse and return exactly
 what they do.  Last comes the sample loop of
-:func:`kmiter.iterations.check_operator_conditions` before it scaled samples
-whose sums overflow, which the library must match bit for bit wherever the
-sums are finite.
+:func:`kmiter.iterations.check_operator_conditions` before it scaled its
+samples, which the library must match bit for bit on each sample scaled to
+unit norm in the scale norm.
 """
 
 import csv

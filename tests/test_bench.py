@@ -20,6 +20,7 @@ from kmiter import (
     load_config,
     make_custom_spectrum,
     make_sine_spectrum_1d,
+    measure_eps_prime,
     parabolic_backward_trace,
     render_report,
     render_table,
@@ -924,3 +925,40 @@ class TestCutoffStudy:
         again = run_cutoff_study(n_modes=16, eps=1e-4, seed=0)
         assert again.curve == self.study.curve
         assert again.selection == self.study.selection
+
+    def test_noise_is_that_of_run_experiment(self):
+        # the study and `elliptic --eps` share one data set-up and noise split
+        study = run_cutoff_study(n_modes=64, eps=1e-3, seed=3)
+        problem = {
+            "kind": "elliptic",
+            "T": 0.25,
+            "f": {"generator": "zero"},
+            "g": {"generator": "piecewise_profile"},
+        }
+        spectrum = {"basis": "sine1d", "n_modes": 64, "length": 1.0}
+        schedule = {"checkpoints": [1]}
+        clean, noisy = (
+            run_experiment(ExperimentConfig(problem, spectrum, schedule, noise=noise)).factors
+            for noise in (None, {"eps": 1e-3, "seed": 3})
+        )
+        assert repr(study.eps_prime) == repr(measure_eps_prime(clean, noisy, -0.5))
+
+    def test_fractional_mode_count_refused(self):
+        with pytest.raises(ConfigError, match="n_modes must be an integer"):
+            run_cutoff_study(n_modes=16.5)
+        assert run_cutoff_study(n_modes=16.0).curve == self.study.curve
+
+    def test_negative_noise_seed_in_a_config_refused(self):
+        cfg = load_config(
+            {
+                "problem": {
+                    "kind": "elliptic", "T": 1.0, "f": {"generator": "zero"},
+                    "g": {"generator": "unit_mode", "k": 1},
+                },
+                "spectrum": {"basis": "sine1d", "n_modes": 4},
+                "schedule": {"checkpoints": [10]},
+                "noise": {"seed": -1, "eps": 1e-3},
+            }
+        )
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            run_experiment(cfg)

@@ -309,6 +309,22 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "gamma" in err
 
+    @pytest.mark.parametrize("command", ["regularize", "elliptic"])
+    def test_negative_noise_seed_is_config_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--seed", "-1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "kmiter: config error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("command", ["regularize", "elliptic"])
+    def test_bad_noise_level_names_the_given_value(self, capsys, command):
+        # the level is checked once, in the set-up both commands share,
+        # before it is split across the two data components
+        code, out, err = run_cli(capsys, command, "--eps", "-1")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "kmiter: config error: noise.eps must be positive and finite, got -1.0\n"
+
     def test_bad_flag_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["elliptic", "--format", "yaml"])

@@ -3,10 +3,11 @@
 ``tests/golden/<name>.<csv|md|json>`` hold the stdout of
 ``kmiter <argv> --format <csv|markdown|json>`` for each case in ``CASES``:
 every subcommand of the parser at its defaults, plus the parabolic
-``demo-illposed``, whose rows overflow, and the hyperbolic one, which takes
-the sup-type trajectory norm.  The subcommands come from
-:func:`kmiter.cli.build_parser` and the formats from ``kmiter.bench.FORMATS``,
-so a new subcommand or format fails here until its golden file exists.
+``demo-illposed``, whose rows overflow, the hyperbolic one, which takes
+the sup-type trajectory norm, and a noisy ``regularize`` with a seed.  The
+subcommands come from :func:`kmiter.cli.build_parser` and the formats from
+``kmiter.bench.FORMATS``, so a new subcommand or format fails here until
+its golden file exists.
 CSV, markdown and any other text format must match byte for byte.  JSON
 prints full precision, and the files were captured while grid ingestion
 used dense sine matrices and the parabolic reference was rebuilt from the
@@ -40,6 +41,7 @@ def subcommands():
 CASES = {name: (name,) for name in subcommands()}
 CASES["demo-illposed-parabolic"] = ("demo-illposed", "--kind", "parabolic")
 CASES["demo-illposed-hyperbolic"] = ("demo-illposed", "--kind", "hyperbolic")
+CASES["regularize-noisy"] = ("regularize", "--modes", "64", "--eps", "1e-3", "--seed", "3")
 TEXT_FORMATS = [fmt for fmt in FORMATS if fmt != "json"]
 REL_TOL = 1e-11
 ABS_TOL = 1e-15

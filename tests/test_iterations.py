@@ -439,6 +439,25 @@ class TestOperatorConditions:
         )
         assert all(math.isfinite(v) for v in violations)
 
+    def test_verdicts_do_not_depend_on_the_sample_size(self):
+        m = make_sine_spectrum_1d(3, 1.0)
+        verdicts = ("nonexpansive", "condition1_holds", "condition2_holds")
+        parabolic = build_factors(Parabolic(T=0.0625, f=zeros(m), gamma=2.0))
+        elliptic = build_factors(Elliptic(T=0.5, f=zeros(m), g=unit_mode(m, 1)))
+        for fac, x, broken in (
+            (parabolic, unit_mode(m, 1), True),
+            (elliptic, from_coeffs(m, [1.0, -2.0, 3.0]), False),
+        ):
+            for a in (1e-6, 1.0, 1e3, 1e200):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    rep = check_operator_conditions(fac, [a * x], c=1.0)
+                assert [getattr(rep, v) for v in verdicts] == [True, not broken, not broken]
+                want = check_operator_conditions(fac, [x], c=1.0)
+                assert rep.condition1_violation == pytest.approx(
+                    want.condition1_violation, rel=1e-12, abs=1e-15
+                )
+
     def test_nan_violation_is_never_dropped(self):
         m = make_sine_spectrum_1d(4, 1.0)
         fac = build_factors(Elliptic(T=0.5, f=zeros(m), g=unit_mode(m, 1)))
@@ -465,8 +484,9 @@ class TestOperatorConditions:
         samples = [from_coeffs(m, coeffs)] + [
             from_coeffs(m, rng.standard_normal(3)) for _ in range(count - 1)
         ]
-        with np.errstate(over="ignore"):
-            want = oracles.condition_violations(fac, samples, c, scale)
+        # the library checks each sample at unit norm in the scale norm
+        unit = [from_coeffs(m, x.coeffs / (norm_s(x, scale) or 1.0)) for x in samples]
+        want = oracles.condition_violations(fac, unit, c, scale)
         assume(all(math.isfinite(v) for v in want[:3]))
         rep = check_operator_conditions(fac, samples, c=c, scale=scale)
         got = (

@@ -71,6 +71,10 @@ class TestAddNoise:
             NoiseSpec(eps=0.0, seed=0)
         with pytest.raises(ConfigError):
             NoiseSpec(eps=-1.0, seed=0)
+        for seed in (-1, 1.5, 2.0, "3", None):
+            with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+                NoiseSpec(eps=0.1, seed=seed)
+        assert NoiseSpec(eps=0.1, seed=np.int64(7)).seed == 7
 
 
 class TestSmooth:
