@@ -29,6 +29,7 @@ those past it at any of its times), rather than propagating infinities.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Tuple
 
@@ -199,46 +200,69 @@ def _times_datum(multiplier: np.ndarray, datum: np.ndarray) -> np.ndarray:
     return np.where(datum == 0.0, datum, multiplier * datum)
 
 
+def _elliptic_cosh_sinh(spec: Elliptic, ts) -> Tuple[np.ndarray, np.ndarray]:
+    x = _check_times(spec, ts)[:, None] * spec.model.eigenvalues
+    with np.errstate(over="ignore"):  # reported by _guard_overflow
+        return np.cosh(x), np.sinh(x)
+
+
+def _elliptic_u(spec: Elliptic, ch: np.ndarray, sh: np.ndarray) -> np.ndarray:
+    """u = cosh(At) f + sinh(At) A^{-1} g from cosh and sinh of At."""
+    # the inf * 0 products that _times_datum discards need not warn either
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _times_datum(ch, spec.f.coeffs) + _times_datum(
+            sh / spec.model.eigenvalues, spec.g.coeffs
+        )
+
+
+def _elliptic_du(spec: Elliptic, ch: np.ndarray, sh: np.ndarray) -> np.ndarray:
+    """du/dt = A sinh(At) f + cosh(At) g from cosh and sinh of At."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _times_datum(spec.model.eigenvalues * sh, spec.f.coeffs) + _times_datum(
+            ch, spec.g.coeffs
+        )
+
+
 def _elliptic(spec: Elliptic, ts) -> Tuple[np.ndarray, np.ndarray]:
     """u = cosh(At) f + sinh(At) A^{-1} g and du/dt = A sinh(At) f + cosh(At) g."""
-    lam, f, g = spec.model.eigenvalues, spec.f.coeffs, spec.g.coeffs
-    x = _check_times(spec, ts)[:, None] * lam
-    # overflow is reported by _guard_overflow; the inf * 0 products that
-    # _times_datum discards need not warn either
-    with np.errstate(over="ignore", invalid="ignore"):
-        ch, sh = np.cosh(x), np.sinh(x)
-        u = _times_datum(ch, f) + _times_datum(sh / lam, g)
-        return u, _times_datum(lam * sh, f) + _times_datum(ch, g)
+    ch, sh = _elliptic_cosh_sinh(spec, ts)
+    return _elliptic_u(spec, ch, sh), _elliptic_du(spec, ch, sh)
 
 
-def _hyperbolic(spec: Hyperbolic, ts) -> Tuple[np.ndarray, np.ndarray]:
-    """u = cos(At) f + sin(At) A^{-1} phi and du/dt = -A sin(At) f + cos(At) phi."""
+def _hyperbolic(spec: Hyperbolic, ts, phi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """u = cos(At) f + sin(At) A^{-1} phi and du/dt = -A sin(At) f + cos(At) phi,
+    for the initial velocity phi."""
     lam, f = spec.model.eigenvalues, spec.f.coeffs
-    phi = hyperbolic_solution_dt0(spec).coeffs
     x = _check_times(spec, ts)[:, None] * lam
     cs, sn = np.cos(x), np.sin(x)
     with np.errstate(over="ignore", invalid="ignore"):
         return cs * f + sn / lam * phi, -lam * sn * f + cs * phi
 
 
-def _parabolic(spec: Parabolic, ts) -> Tuple[np.ndarray, np.ndarray]:
-    """u = exp(A^2 (T - t)) f, so u(T) = f, and du/dt = -A^2 u; a zero datum gives +0."""
-    lam2, f = spec.model.eigenvalues * spec.model.eigenvalues, spec.f.coeffs
+def _parabolic_u(spec: Parabolic, ts) -> np.ndarray:
+    """u = exp(A^2 (T - t)) f, so u(T) = f; a zero datum gives +0."""
+    lam2 = spec.model.eigenvalues * spec.model.eigenvalues
     s = spec.T - _check_times(spec, ts)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        u = np.where(f == 0.0, 0.0, np.exp(lam2 * s) * f)
-        return u, -lam2 * u
+        return np.where(spec.f.coeffs == 0.0, 0.0, np.exp(lam2 * s) * spec.f.coeffs)
+
+
+def _parabolic(spec: Parabolic, ts) -> Tuple[np.ndarray, np.ndarray]:
+    """u of :func:`_parabolic_u` and du/dt = -A^2 u."""
+    u = _parabolic_u(spec, ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return u, -(spec.model.eigenvalues * spec.model.eigenvalues) * u
 
 
 def elliptic_solution_at(spec: Elliptic, t: float) -> SpectralVec:
     """u(t) = cosh(At) f + sinh(At) A^{-1} g, evaluated per mode."""
-    u, _ = _elliptic(spec, float(t))
+    u = _elliptic_u(spec, *_elliptic_cosh_sinh(spec, float(t)))
     return SpectralVec(_guard_overflow(u[0], "elliptic solution"), spec.model)
 
 
 def elliptic_dt_solution_at(spec: Elliptic, t: float) -> SpectralVec:
     """Time derivative of the elliptic solution: A sinh(At) f + cosh(At) g."""
-    _, du = _elliptic(spec, float(t))
+    du = _elliptic_du(spec, *_elliptic_cosh_sinh(spec, float(t)))
     return SpectralVec(_guard_overflow(du[0], "elliptic time derivative"), spec.model)
 
 
@@ -254,7 +278,7 @@ def hyperbolic_solution_dt0(spec: Hyperbolic) -> SpectralVec:
 
 def hyperbolic_solution_at(spec: Hyperbolic, t: float) -> SpectralVec:
     """u(t) = cos(At) f + sin(At) A^{-1} du/dt(0)."""
-    u, _ = _hyperbolic(spec, float(t))
+    u, _ = _hyperbolic(spec, float(t), hyperbolic_solution_dt0(spec).coeffs)
     return SpectralVec(_guard_overflow(u[0], "hyperbolic solution"), spec.model)
 
 
@@ -274,7 +298,7 @@ def parabolic_backward_trace(spec: Parabolic) -> SpectralVec:
     passes 1e300; with lambda^2 T around 700 this happens no matter how small
     the datum is, which is the severe ill-posedness made concrete.
     """
-    u, _ = _parabolic(spec, 0.0)
+    u = _parabolic_u(spec, 0.0)
     return SpectralVec(_guard_overflow(u[0], "backward heat value"), spec.model)
 
 
@@ -299,8 +323,16 @@ def elliptic_trajectory(spec: Elliptic) -> TrajectoryProvider:
 
 
 def hyperbolic_trajectory(spec: Hyperbolic) -> TrajectoryProvider:
-    """Provider ts -> (u, du/dt) for the vibration solution."""
-    return _guarded(_hyperbolic, spec, "hyperbolic solution", "hyperbolic velocity")
+    """Provider ts -> (u, du/dt) for the vibration solution.
+
+    The initial velocity is computed at the first call and kept for the
+    next; one that overflows raises at every call.
+    """
+    velocity = functools.cache(lambda: hyperbolic_solution_dt0(spec).coeffs)
+    return _guarded(
+        lambda spec, ts: _hyperbolic(spec, ts, velocity()),
+        spec, "hyperbolic solution", "hyperbolic velocity",
+    )
 
 
 def parabolic_trajectory_from_terminal(spec: Parabolic) -> TrajectoryProvider:

@@ -18,9 +18,13 @@ Measured data enters the reconstruction pipeline three ways:
    cutoffs, and :func:`select_n_star` picks the minimizer.  Both share one
    O(N log N) pass over the sorted spectrum rather than O(N) work per
    candidate; the measured error it reports comes from prefix and suffix
-   sums and matches a per-candidate ``norm_s`` to 1e-13 relative.  The
-   source condition keeps G on the last candidate grid, so the selection
-   after a curve on the same plan and grid does not call G again.
+   sums and matches a per-candidate ``norm_s`` to 1e-13 relative.
+
+The source weight G is evaluated in one place, :func:`_source_weights`,
+which keeps its values for the last 4 (G object, grid) pairs of the
+process.  A study that follows another on the same spectrum with the same
+G (one object: :func:`power_source_function` returns one per q) does not
+call G again, in :func:`source_constant`, the curve or the selection.
 
 Cutoffs only matter at eigenvalues, so candidates are placed at midpoints
 between consecutive distinct eigenvalues plus one sentinel below the lowest
@@ -30,8 +34,10 @@ and one above the highest.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
+import threading
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -161,9 +167,11 @@ class SourceCondition:
     norm index in which errors and bounds are measured (the iteration space
     index in practice).
 
-    The bound curve calls G once per candidate grid: a condition keeps the
-    values of G on the last grid it saw, and a condition made by
-    ``dataclasses.replace`` starts without them.
+    G is called once per (G object, grid) pair among the last few such
+    pairs in the process, whatever condition holds it: a condition made by
+    ``dataclasses.replace``, or a new condition with the same G, reuses
+    its values.  A closure over a variable that is later reassigned
+    therefore needs a new function object.
     """
 
     M: float
@@ -173,20 +181,6 @@ class SourceCondition:
     def __post_init__(self):
         if not (self.M >= 0.0) or not math.isfinite(self.M):
             raise ConfigError(f"M must be a non-negative finite real, got {self.M!r}")
-
-    def _weights_at(self, xs: np.ndarray) -> np.ndarray:
-        """G at each value of ``xs``, refused as :func:`_source_weights`
-        refuses it.  The values of the last array (keyed by its bytes) are
-        kept read-only and returned again for an equal array; a refusal is
-        never kept, so it is raised again on the next call."""
-        key = xs.tobytes()
-        kept = getattr(self, "_last_weights", None)
-        if kept is not None and kept[0] == key:
-            return kept[1]
-        g = _source_weights(self.G, xs.tolist())
-        g.flags.writeable = False
-        object.__setattr__(self, "_last_weights", (key, g))
-        return g
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,23 +206,51 @@ class RegularizerPlan:
 
 
 def power_source_function(q: float) -> Callable[[float], float]:
-    """The default source weight G(lambda) = (1 + lambda^2)^(q/2), q > 0."""
+    """The default source weight G(lambda) = (1 + lambda^2)^(q/2), q > 0.
+
+    Calls with the same ``float(q)`` return the same function object (among
+    the last 16 exponents), so studies that each ask for it share the
+    values of G that :func:`_source_weights` keeps.
+    """
     q = float(q)
     if not (q > 0.0):
         raise ConfigError(f"source exponent q must be positive, got {q!r}")
+    return _power_source(q)
 
+
+@functools.lru_cache(maxsize=16)
+def _power_source(q: float) -> Callable[[float], float]:
     def G(lam):
         return (1.0 + lam * lam) ** (0.5 * q)
 
     return G
 
 
-def _source_weights(G: Callable[[float], float], xs: list) -> np.ndarray:
-    """G at each Python float of ``xs``.
+# the two grids of a study (the eigenvalues and the truncating candidates)
+# plus room for a custom candidate grid or a second G
+_KEPT_WEIGHTS = 4
+_kept_weights: list = []  # (G, grid bytes, read-only values), most recent last
+_kept_lock = threading.Lock()
+
+
+def _source_weights(G: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
+    """G at each value of the float array ``xs``, called on Python floats.
 
     A value of G that is not a positive finite real, or an ``OverflowError``
     inside G, is refused with a :class:`ConfigError` naming the first such
-    argument."""
+    argument.  The values are kept read-only for the last ``_KEPT_WEIGHTS``
+    pairs of G (matched by identity; the entry holds G, so its id is not
+    reused meanwhile) and grid (matched by its bytes), and returned again
+    for the same pair without calling G; a refusal is never kept, so it is
+    raised again on the next call.  G must depend on its argument alone.
+    """
+    key = xs.tobytes()
+    with _kept_lock:
+        for i, (kept_G, kept_key, g) in enumerate(_kept_weights):
+            if kept_G is G and kept_key == key:
+                _kept_weights.append(_kept_weights.pop(i))
+                return g
+    xs = xs.tolist()
     try:
         g = np.fromiter(map(G, xs), float, len(xs))
     except OverflowError:
@@ -243,12 +265,20 @@ def _source_weights(G: Callable[[float], float], xs: list) -> np.ndarray:
         raise ConfigError(
             f"G({xs[bad[0]]!r}) = {float(g[bad[0]])!r} is not a positive finite value"
         )
+    g.flags.writeable = False
+    with _kept_lock:
+        _kept_weights.append((G, key, g))
+        del _kept_weights[:-_KEPT_WEIGHTS]
     return g
 
 
 def source_constant(phibar: SpectralVec, G: Callable[[float], float], s: float) -> float:
-    """Exact source constant M of a known trace under weight G and index s."""
-    g = _source_weights(G, phibar.model.eigenvalues.tolist())
+    """Exact source constant M of a known trace under weight G and index s.
+
+    G is evaluated at the eigenvalues through :func:`_source_weights`, so a
+    second constant over the same spectrum with the same G calls it no more.
+    """
+    g = _source_weights(G, phibar.model.eigenvalues)
     w = scale_weights(phibar.model, s)
     v = g * phibar.coeffs
     # the square overflows from |v| ~ 1.3e154 on; a power-of-two scale is exact
@@ -355,7 +385,7 @@ def _bound_arrays(
             )
     lam, comp = fac.model.eigenvalues, fac.complements
     kept = np.searchsorted(lam, grid, side="right")  # count of lam <= n; lam is sorted
-    Gn = plan.source._weights_at(grid[kept < lam.size])  # a prefix of the sorted grid
+    Gn = _source_weights(plan.source.G, grid[kept < lam.size])  # a prefix of the sorted grid
     tail = np.concatenate((plan.source.M / Gn, np.zeros(grid.size - Gn.size)))
     safe, degenerate = _safe_complement(comp)  # degenerate: -0.0 too
     with np.errstate(all="ignore"):
@@ -395,8 +425,8 @@ def error_bound_curve(
     regularized fixed point is reported in the source's scale norm.
 
     All C candidates share one O(N + C log N) pass (plus one call of G per
-    truncating candidate, none when the plan's source condition last saw
-    the same grid): a ``searchsorted`` gives each retained count, a
+    truncating candidate, none when :func:`_source_weights` keeps G on this
+    grid): a ``searchsorted`` gives each retained count, a
     running maximum of 1/(1 - F) the amplification, and prefix and suffix
     sums the measured error.  Tail, amplification and bound are bitwise
     those of a per-candidate evaluation; ``true_error`` equals ``norm_s`` of

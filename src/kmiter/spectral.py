@@ -299,33 +299,45 @@ def scale_weights(model: SpectrumModel, s: float) -> np.ndarray:
     return np.power(1.0 + lam * lam, float(s))
 
 
+_SQRT_NORMAL_MIN = 2.0**-511  # the square root of the smallest normal float
+
+
+def _scaled_l2(v: np.ndarray) -> float:
+    """||v||_2 taken at one exact power-of-two scale, the largest |v| in
+    [0.5, 1): no square of a finite v overflows, and its largest does not
+    underflow."""
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    u = np.ldexp(v, -e)
+    return float(np.ldexp(math.sqrt(u.dot(u)), e))
+
+
 def _l2(v: np.ndarray) -> float:
     """||v||_2 in np.linalg.norm's own arithmetic, sqrt(v.dot(v)).  A sum of
-    squares that overflows (from |v| of about 1.3e154 on) is taken again at
-    one exact power-of-two scale, so a finite v below the float max has a
-    finite norm; every finite sum keeps its bits."""
+    squares that overflows (from |v| of about 1.3e154 on) is taken again by
+    :func:`_scaled_l2`, so a finite v below the float max has a finite
+    norm; every finite sum keeps its bits, also one that underflows (the
+    stepwise runner stops on a difference of exactly zero)."""
     with np.errstate(over="ignore"):
         ss = v.dot(v)
-        if ss != math.inf:
-            return math.sqrt(ss)
-        e = int(np.frexp(np.max(np.abs(v)))[1])
-        u = np.ldexp(v, -e)
-        return float(np.ldexp(math.sqrt(u.dot(u)), e))
+        return math.sqrt(ss) if ss != math.inf else _scaled_l2(v)
 
 
 def norm_s(v: SpectralVec, s: float) -> float:
     """Scale norm ||v||_s; ``s = 0`` is the plain L2 norm of the coefficients.
 
     Bitwise ``np.linalg.norm`` of the weighted coefficients wherever their
-    sum of squares is finite; past that (from about 1.3e154 on) the sum is
-    taken at one exact power-of-two scale, so the norm of a finite weighted
-    vector is finite.  Only a weighted coefficient that itself overflows
+    sum of squares is finite and not below the smallest normal float; past
+    that (from about 1.3e154 on), or below it for a nonzero vector (under
+    about 1.5e-154), the sum is taken at one exact power-of-two scale, so
+    the norm of a finite weighted vector is finite and that of a nonzero
+    one is nonzero.  Only a weighted coefficient that itself overflows
     gives inf.
     """
-    if s == 0.0:
-        return _l2(v.coeffs)
     with np.errstate(over="ignore"):
-        return _l2(scale_weights(v.model, 0.5 * s) * v.coeffs)
+        c = v.coeffs if s == 0.0 else scale_weights(v.model, 0.5 * s) * v.coeffs
+    r = _l2(c)
+    # r < 2**-511 exactly when the sum of squares is below 2**-1022
+    return _scaled_l2(c) if r < _SQRT_NORMAL_MIN and c.any() else r
 
 
 def inner(v: SpectralVec, w: SpectralVec) -> float:

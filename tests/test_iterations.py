@@ -448,7 +448,7 @@ class TestOperatorConditions:
             (parabolic, unit_mode(m, 1), True),
             (elliptic, from_coeffs(m, [1.0, -2.0, 3.0]), False),
         ):
-            for a in (1e-6, 1.0, 1e3, 1e200):
+            for a in (1e-170, 1e-6, 1.0, 1e3, 1e200):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     rep = check_operator_conditions(fac, [a * x], c=1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kmiter import problems as kp
 from kmiter.errors import ConfigError, ModeOverflowError, ResonanceError, describe_modes
 from kmiter.problems import (
     OVERFLOW_LIMIT,
@@ -557,6 +558,62 @@ class TestAgainstPerTimeReference:
         p = Parabolic(T=1.0, f=f)
         u, _ = parabolic_trajectory_from_terminal(p)(ts)
         assert same_bits(u[0], parabolic_backward_trace(p).coeffs)
+
+    @given(problems(), st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_single_row_traces_are_the_two_half_evaluator(self, case, frac):
+        # a single-row trace evaluates only the half it returns: its bits,
+        # signed zeros and refusal are those of the half the two-half
+        # evaluator gives at that time, under the same guard
+        kind, spec, _ = case
+
+        def result(fn):
+            try:
+                return "value", fn().tobytes()
+            except ModeOverflowError as exc:
+                return "overflow", str(exc), exc.mode_indices
+
+        def two_half(evaluate, half, what, t):
+            return lambda: kp._guard_overflow(evaluate(spec, t)[half][0], what)
+
+        times = (0.0, frac * spec.T, spec.T)
+        pairs = {
+            "elliptic": [
+                (lambda t=t: elliptic_solution_at(spec, t).coeffs,
+                 two_half(kp._elliptic, 0, "elliptic solution", t)) for t in times
+            ] + [
+                (lambda t=t: elliptic_dt_solution_at(spec, t).coeffs,
+                 two_half(kp._elliptic, 1, "elliptic time derivative", t)) for t in times
+            ],
+            "parabolic": [
+                (lambda: parabolic_backward_trace(spec).coeffs,
+                 two_half(kp._parabolic, 0, "backward heat value", 0.0))
+            ],
+        }.get(kind, [])  # the hyperbolic trace keeps the two-half evaluator
+        for single, both in pairs:
+            assert result(single) == result(both)
+
+    def test_hyperbolic_velocity_once_per_provider(self, monkeypatch):
+        n = 512  # 2**15 // 512 = 64 times per block: 257 times take 5 blocks
+        m = make_sine_spectrum_1d(n, 1.0)
+        data = from_coeffs(m, np.random.default_rng(0).standard_normal(n))
+        spec, tn = Hyperbolic(T=1.0 / math.pi, f=data, g=data), TrajectoryNormSpec("Vh")
+        calls = []
+        dt0 = kp.hyperbolic_solution_dt0
+        monkeypatch.setattr(kp, "hyperbolic_solution_dt0", lambda sp: calls.append(sp) or dt0(sp))
+        traj = hyperbolic_trajectory(spec)
+        assert calls == []
+        norm = trajectory_norm(spec, traj, tn)
+        assert len(calls) == 1
+        assert trajectory_norm(spec, traj, tn) == norm and len(calls) == 1
+        # the velocity is still refused at the first call, not when built
+        m = make_custom_spectrum([1.0, 2.0])
+        p = Hyperbolic(T=1.0, f=zeros(m), g=from_coeffs(m, [0.0, 1e300]))
+        traj = hyperbolic_trajectory(p)
+        for _ in range(2):
+            with pytest.raises(ModeOverflowError, match="^hyperbolic initial velocity") as err:
+                traj(np.array([0.0, 0.5]))
+            assert err.value.mode_indices == (1,)
 
     def test_provider_rejects_times_outside(self):
         m = make_custom_spectrum([1.0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kmiter import regularization
 from kmiter.errors import ConfigError, DegenerateComplementError
 from kmiter.iterations import build_factors, fixed_point
 from kmiter.problems import Elliptic, Parabolic, elliptic_dt_solution_at
@@ -225,8 +226,9 @@ class TestCandidateCutoffs:
         assert np.all(np.diff(grid) > 0.0)
 
 
-def _elliptic_plan(T=0.5, n_modes=6, q=1.0, eps=1e-5, seed=0):
-    """Small noisy elliptic instance with a known clean trace."""
+def _elliptic_plan(T=0.5, n_modes=6, q=1.0, eps=1e-5, seed=0, G=None):
+    """Small noisy elliptic instance with a known clean trace; the source
+    weight is ``G``, or ``power_source_function(q)`` if None."""
     m = make_sine_spectrum_1d(n_modes, 1.0)
     g = from_coeffs(m, 1.0 / np.arange(1, n_modes + 1) ** 2)
     clean = Elliptic(T=T, f=zeros(m), g=g)
@@ -236,7 +238,7 @@ def _elliptic_plan(T=0.5, n_modes=6, q=1.0, eps=1e-5, seed=0):
     fac_c = build_factors(clean)
     fac_n = build_factors(noisy)
     phibar = elliptic_dt_solution_at(clean, T)
-    G = power_source_function(q)
+    G = power_source_function(q) if G is None else G
     source = SourceCondition(M=source_constant(phibar, G, s), G=G, s=s)
     eps_prime = measure_eps_prime(fac_c, fac_n, s)
     plan = RegularizerPlan(n=1.0, eps_prime=eps_prime, source=source)
@@ -419,6 +421,8 @@ class TestSourceHelpers:
     def test_power_source_function(self):
         G = power_source_function(1.0)
         assert G(math.pi) == pytest.approx(oracles.SQRT_1_PLUS_PI2, rel=1e-14)
+        # one function per float(q), so its kept values are shared
+        assert power_source_function(1) is G and power_source_function(2.0) is not G
         with pytest.raises(ConfigError):
             power_source_function(0.0)
 
@@ -486,20 +490,22 @@ class TestSourceHelpers:
             return G0(lam)
 
         plan = dataclasses.replace(plan, source=dataclasses.replace(plan.source, G=G))
-        want_curve = error_bound_curve(
+        want_curve = error_bound_curve(plan, fac, phibar_reference=phibar)
+        truncating = sum(p.retained < fac.model.n_modes for p in want_curve)
+        assert truncating == 40 and len(calls) == truncating
+        # a replaced condition with the same G calls it no more
+        calls.clear()
+        curve = error_bound_curve(
             RegularizerPlan(plan.n, plan.eps_prime, dataclasses.replace(plan.source)),
             fac, phibar_reference=phibar,
         )
-        calls.clear()
-        curve = error_bound_curve(plan, fac, phibar_reference=phibar)
         sel = select_n_star(plan, fac)
-        truncating = sum(p.retained < fac.model.n_modes for p in curve)
-        assert truncating == 40 and len(calls) == truncating
+        assert calls == []
         assert curve == want_curve and all(type(p) is BoundPoint for p in curve)
         assert sel.bound_at_star == curve[sel.index].bound
-        # a replaced condition, then another grid, evaluate G afresh
-        calls.clear()
-        select_n_star(dataclasses.replace(plan, source=dataclasses.replace(plan.source)), fac)
+        # a new G object, then a grid not kept, evaluate G afresh
+        other = dataclasses.replace(plan.source, G=lambda lam: G(lam))
+        select_n_star(dataclasses.replace(plan, source=other), fac)
         assert len(calls) == truncating
         calls.clear()
         grid = [p.n for p in curve[::2]]
@@ -508,6 +514,59 @@ class TestSourceHelpers:
         calls.clear()
         assert error_bound_curve(plan, fac, candidates=grid)[custom.index].bound == custom.bound_at_star
         assert calls == []
+
+    def test_second_study_on_one_spectrum_calls_no_G(self):
+        n = 4096
+        T = 600.0 / make_sine_spectrum_1d(n, 1.0).lambda_max
+        calls = []
+
+        def G(lam, G0=power_source_function(1.0)):
+            calls.append(lam)
+            return G0(lam)
+
+        for seed, want_calls in ((0, n + n), (1, 0)):  # source_constant, then the curve
+            calls.clear()
+            plan, fac, phibar = _elliptic_plan(T=T, n_modes=n, seed=seed, G=G)
+            curve = error_bound_curve(plan, fac, phibar_reference=phibar)
+            sel = select_n_star(plan, fac)
+            assert len(calls) == want_calls
+            assert sel.bound_at_star == curve[sel.index].bound
+        # the same study with another G object gives the same bits
+        plan2, fac2, phibar2 = _elliptic_plan(T=T, n_modes=n, seed=1, G=lambda lam: G(lam))
+        assert plan2.source.M == plan.source.M
+        assert error_bound_curve(plan2, fac2, phibar_reference=phibar2) == curve
+
+    def test_weights_kept_for_a_bounded_count_of_pairs(self):
+        m = make_custom_spectrum([1.0, 2.0])
+        phibar = from_coeffs(m, [1.0, 0.5])
+        for k in range(10):
+            source_constant(phibar, lambda lam, k=k: 1.0 + k + lam, 0.0)
+            assert len(regularization._kept_weights) <= regularization._KEPT_WEIGHTS
+        assert len(regularization._kept_weights) == regularization._KEPT_WEIGHTS == 4
+        assert all(not g.flags.writeable for _, _, g in regularization._kept_weights)
+
+    def test_unhashable_source_weight(self):
+        class Weight:
+            __hash__ = None  # unhashable, like a dataclass with eq and no frozen
+
+            def __init__(self):
+                self.calls = 0
+
+            def __call__(self, lam):
+                self.calls += 1
+                return 1.0 + lam
+
+        G = Weight()
+        with pytest.raises(TypeError):
+            hash(G)
+        m = make_custom_spectrum([1.0, 2.0])
+        phibar = from_coeffs(m, [1.0, 0.5])
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=zeros(m)))
+        plan = RegularizerPlan(n=1.0, eps_prime=0.0, source=SourceCondition(M=2.0, G=G, s=0.0))
+        for want_calls in (2 + 2, 2 + 2):  # a second round calls G no more
+            assert source_constant(phibar, G, 0.0) == math.sqrt(2.0**2 + 1.5**2)
+            assert [p.tail_bound for p in error_bound_curve(plan, fac)] == [2.0 / 1.5, 2.0 / 2.5, 0.0]
+            assert G.calls == want_calls
 
     def test_refused_source_weight_is_refused_again(self):
         m = make_custom_spectrum([1.0, 2.0])
@@ -518,8 +577,12 @@ class TestSourceHelpers:
         for _ in range(2):
             with pytest.raises(ConfigError, match=r"^G\(0\.5\) = nan is not a positive finite value$"):
                 error_bound_curve(plan, fac)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=r"^G\(1\.0\) = nan is not a positive finite value$"):
+                source_constant(from_coeffs(m, [1.0, 0.5]), src.G, 0.0)
         results.reverse()  # G now returns 1.0: nothing refused was kept
         assert [p.tail_bound for p in error_bound_curve(plan, fac)] == [1.0, 1.0, 0.0]
+        assert source_constant(from_coeffs(m, [1.0, 0.5]), src.G, 0.0) == math.sqrt(1.25)
 
     def test_source_constant_refuses_what_the_curve_refuses(self):
         m = make_custom_spectrum([1.0, 2.0])

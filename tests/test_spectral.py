@@ -200,6 +200,21 @@ class TestScaleNorm:
         assert math.isfinite(got)
         assert got == math.ldexp(small, 600)
 
+    @pytest.mark.parametrize("s", [0.0, -0.5])
+    def test_nonzero_below_the_square_underflow(self, s):
+        # the sum of squares of coefficients near 1e-160 falls below the
+        # smallest normal float; the norm is that of the sample scaled by
+        # 2**600, scaled back exactly
+        m = make_sine_spectrum_1d(64, 1.0)
+        g = 1e-160 * np.random.default_rng(0).standard_normal(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = norm_s(from_coeffs(m, g), s)
+            big = norm_s(from_coeffs(m, np.ldexp(g, 600)), s)
+        assert got == math.ldexp(big, -600)
+        assert norm_s(1e-200 * unit_mode(m, 1), 0.0) == 1e-200
+        assert norm_s(zeros(m), s) == 0.0
+
     @given(
         st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=40),
         st.sampled_from([0.0, -1.0, -0.5, 0.5, 1.0]),
@@ -211,7 +226,9 @@ class TestScaleNorm:
         weighted = c if s == 0.0 else scale_weights(m, 0.5 * s) * c
         with np.errstate(over="ignore"):
             want = float(np.linalg.norm(weighted))
-        assume(math.isfinite(want))
+        # a nonzero sum below the smallest normal float (2**-1022) is taken
+        # at a power-of-two scale: test_nonzero_below_the_square_underflow
+        assume(math.isfinite(want) and (want >= 2.0**-511 or not weighted.any()))
         assert repr(norm_s(from_coeffs(m, c), s)) == repr(want)
 
     def test_index_one(self):
