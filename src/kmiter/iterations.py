@@ -491,6 +491,14 @@ def report_closed_form(
     exactly zero: the analytic per-step difference underflows long before
     the iterate stops improving, and every requested checkpoint is cheap
     to evaluate directly.
+
+    The tolerance stops the run on the first step whose difference drops
+    below it, as in the stepwise runner.  The difference ||F^{k-1} w|| is
+    non-increasing in k (|F| <= 1 per mode, and exp, products and the sum
+    of squares all round monotonically), so once a checkpoint (or the last
+    step of the budget) reads below the tolerance, a bisection over the
+    steps since the previous checkpoint finds that first step in
+    O(N log k), and the run ends there.
     """
     if phi0.model != fac.model:
         raise ConfigError("phi0 must live over the model of the factors")
@@ -501,21 +509,32 @@ def report_closed_form(
     log_factor, divisor = _log_factor(fac), _divisor(fac)
     norm, error = _scale_norm(fac.model, s)[0], _error_vs(reference)
 
-    checkpoints = sorted({*schedule.checkpoints, stop.max_steps})
+    def diff_at(k):  # ||phi_k - phi_(k-1)||, one row of O(N) work
+        Fkm1 = _factor_power(*log_factor, k - 1)
+        return norm(np.multiply(Fkm1, w, out=Fkm1))
 
     records: list[CheckpointRecord] = []
-    final_k = stop.max_steps
-    for k in checkpoints:  # one row of O(N) work each, never a (K x N) array
-        Fkm1 = _factor_power(*log_factor, k - 1)
+    final_k, prev = stop.max_steps, 0
+    for k in sorted({*schedule.checkpoints, stop.max_steps}):  # never a (K x N) array
+        diff = diff_at(k)
+        if tol > 0.0 and diff < tol:
+            lo = prev  # step prev is not below tol (there is no step 0), step k is
+            while k - lo > 1:
+                mid = (lo + k) // 2
+                mid_diff = diff_at(mid)
+                if mid_diff < tol:
+                    k, diff = mid, mid_diff
+                else:
+                    lo = mid
+            final_k = k
         Fk, phi = _iterate(fac, phi0, k, log_factor, divisor)
-        diff = norm(np.multiply(Fkm1, w, out=Fkm1))
         records.append(CheckpointRecord(
             k=k, iterate=SpectralVec(phi, fac.model), successive_diff=diff,
             residual=norm(np.multiply(Fk, w, out=Fk)), error_vs_reference=error(phi),
         ))
-        if tol > 0.0 and diff < tol:
-            final_k = k
+        if final_k == k:
             break
+        prev = k
     return _report(fac.kind, s, records, final_k, stop)
 
 

@@ -20,11 +20,9 @@ Measured data enters the reconstruction pipeline three ways:
    candidate; the measured error it reports comes from prefix and suffix
    sums and matches a per-candidate ``norm_s`` to 1e-13 relative.
 
-The source weight G is evaluated in one place, :func:`_source_weights`,
-which keeps its values for the last 4 (G object, grid) pairs of the
-process.  A study that follows another on the same spectrum with the same
-G (one object: :func:`power_source_function` returns one per q) does not
-call G again, in :func:`source_constant`, the curve or the selection.
+The source weight G is evaluated in one place, :func:`_source_weights`:
+the default weight of :func:`power_source_function` as one array power, a
+custom G on Python floats, on every call.
 
 Cutoffs only matter at eigenvalues, so candidates are placed at midpoints
 between consecutive distinct eigenvalues plus one sentinel below the lowest
@@ -34,10 +32,8 @@ and one above the highest.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
-import threading
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -166,12 +162,6 @@ class SourceCondition:
     positive with G -> infinity, a function of lambda alone; ``s`` is the
     norm index in which errors and bounds are measured (the iteration space
     index in practice).
-
-    G is called once per (G object, grid) pair among the last few such
-    pairs in the process, whatever condition holds it: a condition made by
-    ``dataclasses.replace``, or a new condition with the same G, reuses
-    its values.  A closure over a variable that is later reassigned
-    therefore needs a new function object.
     """
 
     M: float
@@ -206,55 +196,45 @@ class RegularizerPlan:
 
 
 def power_source_function(q: float) -> Callable[[float], float]:
-    """The default source weight G(lambda) = (1 + lambda^2)^(q/2), q > 0.
-
-    Calls with the same ``float(q)`` return the same function object (among
-    the last 16 exponents), so studies that each ask for it share the
-    values of G that :func:`_source_weights` keeps.
-    """
+    """The default source weight G(lambda) = (1 + lambda^2)^(q/2), q > 0."""
     q = float(q)
     if not (q > 0.0):
         raise ConfigError(f"source exponent q must be positive, got {q!r}")
-    return _power_source(q)
+    return _PowerWeight(0.5 * q)
 
 
-@functools.lru_cache(maxsize=16)
-def _power_source(q: float) -> Callable[[float], float]:
-    def G(lam):
-        return (1.0 + lam * lam) ** (0.5 * q)
+@dataclasses.dataclass(frozen=True)
+class _PowerWeight:
+    """(1 + lam^2)^e by one numpy power, on a float or on an array alike,
+    so G(x) is bitwise the array weight at x.  A float gives a float; a
+    weight past the float max raises ``OverflowError``, as Python's ``**``
+    does on overflow."""
 
-    return G
+    e: float
 
-
-# the two grids of a study (the eigenvalues and the truncating candidates)
-# plus room for a custom candidate grid or a second G
-_KEPT_WEIGHTS = 4
-_kept_weights: list = []  # (G, grid bytes, read-only values), most recent last
-_kept_lock = threading.Lock()
+    def __call__(self, lam):
+        with np.errstate(over="ignore"):
+            g = np.power(1.0 + lam * lam, self.e)
+        if not np.isfinite(g).all():
+            raise OverflowError("(1 + lam^2)^e overflows a float")
+        return float(g) if np.ndim(g) == 0 else g
 
 
 def _source_weights(G: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
-    """G at each value of the float array ``xs``, called on Python floats.
+    """G at each value of the float array ``xs``: one array call for the
+    default weight, which is at least 1 where finite, and a call on each
+    Python float for any other G.
 
     A value of G that is not a positive finite real, or an ``OverflowError``
     inside G, is refused with a :class:`ConfigError` naming the first such
-    argument.  The values are kept read-only for the last ``_KEPT_WEIGHTS``
-    pairs of G (matched by identity; the entry holds G, so its id is not
-    reused meanwhile) and grid (matched by its bytes), and returned again
-    for the same pair without calling G; a refusal is never kept, so it is
-    raised again on the next call.  G must depend on its argument alone.
+    argument.  Nothing is kept between calls.
     """
-    key = xs.tobytes()
-    with _kept_lock:
-        for i, (kept_G, kept_key, g) in enumerate(_kept_weights):
-            if kept_G is G and kept_key == key:
-                _kept_weights.append(_kept_weights.pop(i))
-                return g
-    xs = xs.tolist()
     try:
-        g = np.fromiter(map(G, xs), float, len(xs))
+        if isinstance(G, _PowerWeight):
+            return G(xs)
+        g = np.fromiter(map(G, xs.tolist()), float, xs.size)
     except OverflowError:
-        for x in xs:
+        for x in xs.tolist():
             try:
                 G(x)
             except OverflowError:
@@ -263,21 +243,14 @@ def _source_weights(G: Callable[[float], float], xs: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~((g > 0.0) & np.isfinite(g)))
     if bad.size:
         raise ConfigError(
-            f"G({xs[bad[0]]!r}) = {float(g[bad[0]])!r} is not a positive finite value"
+            f"G({float(xs[bad[0]])!r}) = {float(g[bad[0]])!r} is not a positive finite value"
         )
-    g.flags.writeable = False
-    with _kept_lock:
-        _kept_weights.append((G, key, g))
-        del _kept_weights[:-_KEPT_WEIGHTS]
     return g
 
 
 def source_constant(phibar: SpectralVec, G: Callable[[float], float], s: float) -> float:
-    """Exact source constant M of a known trace under weight G and index s.
-
-    G is evaluated at the eigenvalues through :func:`_source_weights`, so a
-    second constant over the same spectrum with the same G calls it no more.
-    """
+    """Exact source constant M of a known trace under weight G and index s,
+    G evaluated at the eigenvalues by :func:`_source_weights`."""
     g = _source_weights(G, phibar.model.eigenvalues)
     w = scale_weights(phibar.model, s)
     v = g * phibar.coeffs
@@ -424,9 +397,8 @@ def error_bound_curve(
     reference is the clean trace, against which the measured error of each
     regularized fixed point is reported in the source's scale norm.
 
-    All C candidates share one O(N + C log N) pass (plus one call of G per
-    truncating candidate, none when :func:`_source_weights` keeps G on this
-    grid): a ``searchsorted`` gives each retained count, a
+    All C candidates share one O(N + C log N) pass (plus G at each
+    truncating candidate): a ``searchsorted`` gives each retained count, a
     running maximum of 1/(1 - F) the amplification, and prefix and suffix
     sums the measured error.  Tail, amplification and bound are bitwise
     those of a per-candidate evaluation; ``true_error`` equals ``norm_s`` of

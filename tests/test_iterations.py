@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from typing import Optional
@@ -603,22 +604,34 @@ def ref_closed_form(fac, phi0, schedule, reference=None):
     checkpoints = list(schedule.checkpoints)
     if checkpoints[-1] != stop.max_steps:
         checkpoints.append(stop.max_steps)
-    records = []
-    final_k, reason = stop.max_steps, "max_steps"
-    for k in checkpoints:
+    tol = stop.successive_diff_tol
+
+    def diff_at(k):
         Fkm1, _ = ref_pow_with_complement(fac.factors, fac.complements, k - 1)
+        return ref_scaled_norm(model, Fkm1 * w, s)
+
+    records = []
+    final_k, reason, prev = stop.max_steps, "max_steps", 0
+    for k in checkpoints:
+        if tol > 0.0 and diff_at(k) < tol:
+            # the first step below tol since the previous checkpoint, which
+            # was not below it; the difference never grows with k, so bisect
+            lo, hi = prev, k
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if diff_at(mid) < tol else (mid, hi)
+            k = final_k = hi
+            reason = "max_steps" if k == stop.max_steps else "tolerance"
         Fk, _ = ref_pow_with_complement(fac.factors, fac.complements, k)
         phi = ref_iterate_closed_form(fac, phi0, k)
-        diff = ref_scaled_norm(model, Fkm1 * w, s)
         records.append(CheckpointRecord(
-            k=k, iterate=SpectralVec(phi, model), successive_diff=diff,
+            k=k, iterate=SpectralVec(phi, model), successive_diff=diff_at(k),
             residual=ref_scaled_norm(model, Fk * w, s),
             error_vs_reference=ref_rel_error(phi, reference),
         ))
-        if stop.successive_diff_tol > 0.0 and diff < stop.successive_diff_tol:
-            final_k = k
-            reason = "max_steps" if k == stop.max_steps else "tolerance"
+        if k == final_k:
             break
+        prev = k
     return IterationReport(fac.kind, s, tuple(records), final_k, reason)
 
 
@@ -697,6 +710,60 @@ def schedules(draw, mode, most):
         scale=draw(st.sampled_from([None, -0.5, 0.0, 0.5, 1.0])),
     )
     return IterationSchedule(checkpoints=tuple(cps), mode=mode, stop=stop)
+
+
+class TestToleranceStop:
+    """The closed form stops on the step the stepwise runner stops on."""
+
+    def test_tolerance_stop_between_checkpoints(self):
+        # both modes stop on step 4104, between the checkpoints 1000 and 10000
+        m = make_sine_spectrum_1d(8, 1.0)
+        fac = build_factors(Elliptic(T=1.0, f=from_coeffs(m, np.full(8, 1 / 8)), g=zeros(m)))
+        reports = [
+            run_schedule(fac, zeros(m), IterationSchedule(
+                checkpoints=(10, 100, 1000, 10000), mode=mode,
+                stop=StoppingRule(max_steps=10000, successive_diff_tol=1.1e-3),
+            ))
+            for mode in ("stepwise", "closed_form")
+        ]
+        for rep in reports:
+            assert (rep.final_k, rep.termination_reason) == (4104, "tolerance")
+            assert [r.k for r in rep.records] == [10, 100, 1000, 4104]
+            assert rep.records[-1].successive_diff < 1.1e-3
+        stepwise, closed = reports
+        for a, b in zip(stepwise.records, closed.records):
+            assert a.successive_diff == pytest.approx(b.successive_diff, rel=1e-10)
+            assert a.residual == pytest.approx(b.residual, rel=1e-10)
+            np.testing.assert_allclose(a.iterate.coeffs, b.iterate.coeffs, rtol=1e-10)
+
+    @given(factor_cases(most_modes=12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_tolerance_stops_both_modes_on_one_step(self, case, data):
+        fac, phi0, _ = case
+        budget = data.draw(st.integers(1, 600))
+        cps = data.draw(st.lists(st.integers(1, budget), min_size=1, max_size=4, unique=True))
+        scale = data.draw(st.sampled_from([None, -0.5, 0.0, 1.0]))
+        every = IterationSchedule(
+            checkpoints=tuple(range(1, budget + 1)), stop=StoppingRule(budget, scale=scale)
+        )
+        # each step's difference, literal and analytic; a tolerance between
+        # the two (or within 1e-12 relative of either) may split the modes
+        stepwise = iterate_stepwise(fac, phi0, dataclasses.replace(every, mode="stepwise"))
+        literal = [r.successive_diff for r in stepwise.records]
+        analytic = [r.successive_diff for r in report_closed_form(fac, phi0, every).records]
+        positive = [d for d in literal + analytic if 0.0 < d < math.inf]
+        assume(positive)
+        tol = data.draw(st.sampled_from(positive)) * data.draw(st.floats(0.5, 2.0))
+        for a, b in zip(literal, analytic):
+            assume(not (min(a, b) * (1 - 1e-12) <= tol <= max(a, b) * (1 + 1e-12)))
+        stop = StoppingRule(budget, successive_diff_tol=tol, scale=scale)
+        got = [
+            run_schedule(fac, phi0, IterationSchedule(tuple(sorted(cps)), mode, stop))
+            for mode in ("stepwise", "closed_form")
+        ]
+        sw, cf = got
+        assert (sw.final_k, sw.termination_reason) == (cf.final_k, cf.termination_reason)
+        assert [r.k for r in sw.records] == [r.k for r in cf.records]
 
 
 class TestBitwiseAgainstReference:

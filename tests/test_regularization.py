@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -421,8 +422,8 @@ class TestSourceHelpers:
     def test_power_source_function(self):
         G = power_source_function(1.0)
         assert G(math.pi) == pytest.approx(oracles.SQRT_1_PLUS_PI2, rel=1e-14)
-        # one function per float(q), so its kept values are shared
-        assert power_source_function(1) is G and power_source_function(2.0) is not G
+        # equal exponents give equal weights
+        assert power_source_function(1) == G and power_source_function(2.0) != G
         with pytest.raises(ConfigError):
             power_source_function(0.0)
 
@@ -481,8 +482,52 @@ class TestSourceHelpers:
         with pytest.raises(ConfigError, match=r"^G\(5e\+99\) overflows a float$"):
             select_n_star(plan, fac)
 
-    def test_source_weights_kept_per_grid(self):
+    def test_source_weights_agree_bitwise_scalar_and_array(self):
+        # one numpy power for a float and for an array: G(x) is the array
+        # weight at x bit for bit, up to the last lambda before G overflows
+        ladder = np.geomspace(1e-3, 1e300, 3001)
+        for q in (0.5, 1.0, 2.0, 3.0, 4.0):
+            G = power_source_function(q)
+
+            def finite(bits):
+                try:
+                    return bool(G(float(np.int64(bits).view(np.float64))))
+                except OverflowError:
+                    return False
+
+            # bisect the bit patterns (monotone for positive floats) for the
+            # last lambda with a finite weight
+            lo, hi = int(ladder.view(np.int64)[0]), int(ladder.view(np.int64)[-1])
+            assert finite(lo) and not finite(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+            top = float(np.int64(lo).view(np.float64))
+            xs = np.append(ladder[ladder < top], top)
+            g = regularization._source_weights(G, xs)
+            assert [G(x) for x in xs.tolist()] == g.tolist()
+            assert all(type(G(x)) is float for x in xs[::500].tolist())
+            past = math.nextafter(top, math.inf)
+            msg = rf"^G\({re.escape(repr(past))}\) overflows a float$"
+            with pytest.raises(ConfigError, match=msg):
+                regularization._source_weights(G, np.append(xs, [past, 1e300]))
+
+    def test_source_weight_of_an_infinite_square_overflows(self):
+        # at lambda = 1e200, 1 + lambda^2 is already inf: the weight is
+        # refused as an overflow, in all three places
+        m = make_custom_spectrum([1.0, 2.0, 1e200])
+        G = power_source_function(1.0)
+        with pytest.raises(ConfigError, match=r"^G\(1e\+200\) overflows a float$"):
+            source_constant(from_coeffs(m, [1.0, 0.5, 1e-300]), G, -0.5)
+        fac = build_factors(Elliptic(T=1e-201, f=zeros(m), g=zeros(m)))
+        plan = RegularizerPlan(n=1.0, eps_prime=0.0, source=SourceCondition(M=1.0, G=G, s=-0.5))
+        for run in (error_bound_curve, select_n_star):
+            with pytest.raises(ConfigError, match=r"^G\(5e\+199\) overflows a float$"):
+                run(plan, fac)
+
+    def test_custom_source_weight_called_once_per_truncating_candidate(self):
         plan, fac, phibar = _elliptic_plan(n_modes=40)
+        want_curve = error_bound_curve(plan, fac, phibar_reference=phibar)
         calls = []
 
         def G(lam, G0=plan.source.G):
@@ -490,60 +535,26 @@ class TestSourceHelpers:
             return G0(lam)
 
         plan = dataclasses.replace(plan, source=dataclasses.replace(plan.source, G=G))
-        want_curve = error_bound_curve(plan, fac, phibar_reference=phibar)
-        truncating = sum(p.retained < fac.model.n_modes for p in want_curve)
-        assert truncating == 40 and len(calls) == truncating
-        # a replaced condition with the same G calls it no more
-        calls.clear()
-        curve = error_bound_curve(
-            RegularizerPlan(plan.n, plan.eps_prime, dataclasses.replace(plan.source)),
-            fac, phibar_reference=phibar,
-        )
-        sel = select_n_star(plan, fac)
-        assert calls == []
-        assert curve == want_curve and all(type(p) is BoundPoint for p in curve)
-        assert sel.bound_at_star == curve[sel.index].bound
-        # a new G object, then a grid not kept, evaluate G afresh
-        other = dataclasses.replace(plan.source, G=lambda lam: G(lam))
-        select_n_star(dataclasses.replace(plan, source=other), fac)
-        assert len(calls) == truncating
-        calls.clear()
+        truncating = [p.n for p in want_curve if p.retained < fac.model.n_modes]
+        assert len(truncating) == 40
+        for _ in range(2):  # nothing is kept between calls
+            calls.clear()
+            curve = error_bound_curve(plan, fac, phibar_reference=phibar)
+            assert calls == truncating
+            calls.clear()
+            sel = select_n_star(plan, fac)
+            assert calls == truncating
+            # G0 on Python floats gives the bits of the array weight
+            assert curve == want_curve and all(type(p) is BoundPoint for p in curve)
+            assert sel.bound_at_star == curve[sel.index].bound
         grid = [p.n for p in curve[::2]]
+        truncating = [p.n for p in curve[::2] if p.retained < fac.model.n_modes]
+        calls.clear()
         custom = select_n_star(plan, fac, candidates=grid)
-        assert len(calls) == sum(p.retained < fac.model.n_modes for p in curve[::2])
+        assert calls == truncating
         calls.clear()
         assert error_bound_curve(plan, fac, candidates=grid)[custom.index].bound == custom.bound_at_star
-        assert calls == []
-
-    def test_second_study_on_one_spectrum_calls_no_G(self):
-        n = 4096
-        T = 600.0 / make_sine_spectrum_1d(n, 1.0).lambda_max
-        calls = []
-
-        def G(lam, G0=power_source_function(1.0)):
-            calls.append(lam)
-            return G0(lam)
-
-        for seed, want_calls in ((0, n + n), (1, 0)):  # source_constant, then the curve
-            calls.clear()
-            plan, fac, phibar = _elliptic_plan(T=T, n_modes=n, seed=seed, G=G)
-            curve = error_bound_curve(plan, fac, phibar_reference=phibar)
-            sel = select_n_star(plan, fac)
-            assert len(calls) == want_calls
-            assert sel.bound_at_star == curve[sel.index].bound
-        # the same study with another G object gives the same bits
-        plan2, fac2, phibar2 = _elliptic_plan(T=T, n_modes=n, seed=1, G=lambda lam: G(lam))
-        assert plan2.source.M == plan.source.M
-        assert error_bound_curve(plan2, fac2, phibar_reference=phibar2) == curve
-
-    def test_weights_kept_for_a_bounded_count_of_pairs(self):
-        m = make_custom_spectrum([1.0, 2.0])
-        phibar = from_coeffs(m, [1.0, 0.5])
-        for k in range(10):
-            source_constant(phibar, lambda lam, k=k: 1.0 + k + lam, 0.0)
-            assert len(regularization._kept_weights) <= regularization._KEPT_WEIGHTS
-        assert len(regularization._kept_weights) == regularization._KEPT_WEIGHTS == 4
-        assert all(not g.flags.writeable for _, _, g in regularization._kept_weights)
+        assert calls == truncating
 
     def test_unhashable_source_weight(self):
         class Weight:
@@ -563,7 +574,7 @@ class TestSourceHelpers:
         phibar = from_coeffs(m, [1.0, 0.5])
         fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=zeros(m)))
         plan = RegularizerPlan(n=1.0, eps_prime=0.0, source=SourceCondition(M=2.0, G=G, s=0.0))
-        for want_calls in (2 + 2, 2 + 2):  # a second round calls G no more
+        for want_calls in (2 + 2, 8):  # nothing is kept: a second round calls G again
             assert source_constant(phibar, G, 0.0) == math.sqrt(2.0**2 + 1.5**2)
             assert [p.tail_bound for p in error_bound_curve(plan, fac)] == [2.0 / 1.5, 2.0 / 2.5, 0.0]
             assert G.calls == want_calls
