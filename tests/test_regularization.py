@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import re
 
@@ -225,6 +226,18 @@ class TestCandidateCutoffs:
         grid = candidate_cutoffs(m)
         assert grid.size == 3 + 1  # 3 distinct eigenvalues
         assert np.all(np.diff(grid) > 0.0)
+
+    def test_adjacent_float_eigenvalues(self):
+        # the midpoint of two adjacent floats rounds up to the upper one, which
+        # would retain both; the lower one keeps exactly the first mode
+        a = np.nextafter(1.0, 2.0)
+        m = make_custom_spectrum([a, np.nextafter(a, 2.0), 3.0])
+        grid = candidate_cutoffs(m)
+        assert grid.tolist() == [0.5 * a, a, 0.5 * (np.nextafter(a, 2.0) + 3.0), 4.5]
+        assert np.searchsorted(m.eigenvalues, grid, side="right").tolist() == [0, 1, 2, 3]
+        fac = build_factors(Parabolic(T=0.01, f=zeros(m)))
+        plan = RegularizerPlan(n=1.0, eps_prime=1e-3, source=SourceCondition(1.0, lambda lam: lam, 0.0))
+        assert [p.retained for p in error_bound_curve(plan, fac)] == [0, 1, 2, 3]
 
 
 def _elliptic_plan(T=0.5, n_modes=6, q=1.0, eps=1e-5, seed=0, G=None):
@@ -752,6 +765,83 @@ class TestOnePassCurveMatchesReference:
         sel = select_n_star(plan, fac, candidates=candidates)
         assert sel == _reference_selection(grid, [row[5] for row in want])
         assert sel.bound_at_star == curve[sel.index].bound
+
+
+@st.composite
+def _near_tie_spectra(draw):
+    """Ascending spectra with exact ties, adjacent floats and, near the float
+    max, midpoints whose sum overflows."""
+    if draw(st.booleans()):
+        lx = draw(st.sampled_from([1.0, 2.0]))
+        ly = draw(st.sampled_from([1.0, 2.0, 1.5]))  # lx == ly gives exact ties
+        return make_sine_spectrum_rect(draw(st.integers(1, 8)), draw(st.integers(1, 8)), lx, ly)
+    top = np.finfo(float).max
+    lam = [draw(st.sampled_from([1e-300, 1.0, 8e307]))]
+    for step in draw(st.lists(st.sampled_from(["tie", "ulp", "2ulp", "grow"]), max_size=30)):
+        x = lam[-1]
+        if step == "ulp":
+            x = np.nextafter(x, top)
+        elif step == "2ulp":
+            x = np.nextafter(np.nextafter(x, top), top)
+        elif step == "grow":
+            x = min(1.25 * x, top)
+        lam.append(float(x))
+    return make_custom_spectrum(lam)
+
+
+class TestDefaultGridCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(model=_near_tie_spectra())
+    def test_counts_are_group_ends(self, model):
+        lam = model.eigenvalues
+        grid, kept = regularization._default_grid(lam)
+        assert grid.tobytes() == candidate_cutoffs(model).tobytes()
+        assert kept.tolist() == np.searchsorted(lam, grid, side="right").tolist()
+        # 0, the end of every group of equal eigenvalues, and N, once each
+        ends = np.flatnonzero(np.append(lam[1:] != lam[:-1], True)) + 1
+        assert kept.tolist() == [0] + ends.tolist()
+
+        fac = build_factors(Elliptic(T=1e-3 / float(lam[-1]), f=zeros(model), g=zeros(model)))
+        plan = RegularizerPlan(n=1.0, eps_prime=1e-3, source=SourceCondition(0.0, lambda lam: lam, 0.0))
+        assert [p.retained for p in error_bound_curve(plan, fac)] == kept.tolist()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_collector_state(self, enabled):
+        plan, fac, phibar = _elliptic_plan(n_modes=8)
+        was = gc.isenabled()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            error_bound_curve(plan, fac, phibar_reference=phibar)
+            assert gc.isenabled() is enabled
+        finally:
+            if was:
+                gc.enable()
+            else:
+                gc.disable()
+
+    def test_no_collection_while_building_points(self):
+        # a tuple subclass stays tracked, so 4097 new points would set off
+        # young collections every 700 allocations
+        plan, fac, phibar = _elliptic_plan(T=0.05, n_modes=4096, eps=1e-3)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            curve = error_bound_curve(plan, fac, phibar_reference=phibar)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(curve) == 4097
+        assert starts == []
 
 
 # ---------------------------------------------------------------------------
