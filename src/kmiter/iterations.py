@@ -156,7 +156,8 @@ def build_factors(spec: ProblemSpec) -> IterationFactors:
         )
 
     if isinstance(spec, Parabolic):
-        comp = spec.gamma * np.exp(-lam * lam * T)
+        with np.errstate(over="ignore"):  # lambda^2 = inf gives exp(-inf) = 0
+            comp = spec.gamma * np.exp(-lam * lam * T)
         F = 1.0 - comp
         z = spec.gamma * spec.f.coeffs
         return IterationFactors(
@@ -241,8 +242,15 @@ def fixed_point(fac: IterationFactors) -> SpectralVec:
     :class:`~kmiter.errors.ModeOverflowError` when the quotient passes the
     1e300 guard.
     """
+    return _fixed_point(fac, fac.z.coeffs)
+
+
+def _fixed_point(fac: IterationFactors, z: np.ndarray, retained=True) -> SpectralVec:
+    """The fixed point of phi -> F phi + z with F set to 0 off the
+    ``retained`` modes (a mask, or True for all): z / (1 - F) on them, z on
+    the others.  Refused where :func:`fixed_point` documents."""
     safe, degenerate = _safe_complement(fac.complements)
-    degenerate = np.flatnonzero(degenerate)
+    degenerate = np.flatnonzero(degenerate & retained)
     if degenerate.size:
         raise DegenerateComplementError(
             f"1 - F is exactly zero at {describe_modes(degenerate)}; "
@@ -251,7 +259,7 @@ def fixed_point(fac: IterationFactors) -> SpectralVec:
             mode_indices=tuple(degenerate.tolist()),
         )
     with np.errstate(over="ignore"):
-        c = fac.z.coeffs / safe
+        c = np.divide(z, safe, out=z.copy(), where=retained)
     return SpectralVec(_guard_overflow(c, "fixed point"), fac.model)
 
 

@@ -241,9 +241,9 @@ def _hyperbolic(spec: Hyperbolic, ts, phi: np.ndarray) -> Tuple[np.ndarray, np.n
 
 def _parabolic_u(spec: Parabolic, ts) -> np.ndarray:
     """u = exp(A^2 (T - t)) f, so u(T) = f; a zero datum gives +0."""
-    lam2 = spec.model.eigenvalues * spec.model.eigenvalues
     s = spec.T - _check_times(spec, ts)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
+        lam2 = spec.model.eigenvalues * spec.model.eigenvalues
         return np.where(spec.f.coeffs == 0.0, 0.0, np.exp(lam2 * s) * spec.f.coeffs)
 
 
@@ -288,7 +288,8 @@ def parabolic_solution_at(u0: SpectralVec, t: float) -> SpectralVec:
     if t < 0.0:
         raise ConfigError(f"forward evolution needs t >= 0, got {t!r}")
     lam = u0.model.eigenvalues
-    return SpectralVec(np.exp(-lam * lam * t) * u0.coeffs, u0.model)
+    with np.errstate(over="ignore"):  # lambda^2 = inf gives exp(-inf) = 0
+        return SpectralVec(np.exp(-lam * lam * t) * u0.coeffs, u0.model)
 
 
 def parabolic_backward_trace(spec: Parabolic) -> SpectralVec:

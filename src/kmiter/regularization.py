@@ -13,7 +13,9 @@ Measured data enters the reconstruction pipeline three ways:
    :func:`smoothing_bound`.
 3. :func:`regularized_fixed_point` replaces the iteration multiplier by
    zero above a cutoff ``n``, which restores boundedness at the price of a
-   truncation error.  :func:`error_bound_curve` evaluates the a-priori
+   truncation error.  It is the iteration's fixed point on the retained
+   modes, refusing a zero 1 - F there and a value past 1e300 alike, with no
+   ``RuntimeWarning``.  :func:`error_bound_curve` evaluates the a-priori
    bound (source term M/G(n) plus amplified data error) over the candidate
    cutoffs, and :func:`select_n_star` picks the minimizer.  Both share one
    O(N + C) pass over the sorted spectrum for the C default candidates
@@ -41,8 +43,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateComplementError, describe_modes
-from .iterations import IterationFactors, _safe_complement
+from .errors import ConfigError
+from .iterations import IterationFactors, _fixed_point, _safe_complement
 from .spectral import SpectralVec, SpectrumModel, norm_s, scale_weights, sub
 
 __all__ = [
@@ -271,28 +273,14 @@ def measure_eps_prime(fac_clean: IterationFactors, fac_noisy: IterationFactors, 
 
 def regularized_fixed_point(fac: IterationFactors, z_eps: SpectralVec, n: float) -> SpectralVec:
     """Fixed point of the cutoff iteration: z/(1-F) on modes with
-    lambda <= n, plain z above the cutoff (the multiplier is zeroed there).
-
-    The cutoff is what removes degenerate modes; if a retained mode still
-    has complement exactly zero, that is an error in the choice of n and is
-    reported as such.
-    """
+    lambda <= n, plain z above the cutoff (the multiplier is zeroed there),
+    refused where :func:`~kmiter.iterations.fixed_point` refuses."""
     if z_eps.model != fac.model:
         raise ConfigError("z_eps must live over the model of the factors")
     n = float(n)
     if not (n > 0.0):
         raise ConfigError(f"cutoff n must be positive, got {n!r}")
-    retained = fac.model.eigenvalues <= n
-    safe, degenerate = _safe_complement(fac.complements)
-    degenerate = np.flatnonzero(retained & degenerate)
-    if degenerate.size:
-        raise DegenerateComplementError(
-            f"cutoff n = {n:g} retains {describe_modes(degenerate)} whose "
-            "complement 1 - F is exactly zero; lower the cutoff below them",
-            mode_indices=tuple(degenerate.tolist()),
-        )
-    c = np.divide(z_eps.coeffs, safe, out=z_eps.coeffs.copy(), where=retained)  # z itself above n
-    return SpectralVec(c, fac.model)
+    return _fixed_point(fac, z_eps.coeffs, fac.model.eigenvalues <= n)
 
 
 def candidate_cutoffs(model: SpectrumModel) -> np.ndarray:

@@ -296,7 +296,8 @@ def _require_same_model(a: SpectralVec, b: SpectralVec, what: str) -> None:
 def scale_weights(model: SpectrumModel, s: float) -> np.ndarray:
     """Weights (1 + lambda_j^2)^s of the scale norm of index ``s``."""
     lam = model.eigenvalues
-    return np.power(1.0 + lam * lam, float(s))
+    with np.errstate(over="ignore"):  # lambda^2 is inf from about 1.3e154 on
+        return np.power(1.0 + lam * lam, float(s))
 
 
 _SQRT_NORMAL_MIN = 2.0**-511  # the square root of the smallest normal float
@@ -368,7 +369,6 @@ def apply_spectral_function(
     :class:`~kmiter.errors.EvaluationError` naming the offending mode
     positions (zero-based).
     """
-    _require_same_model(v, v, "apply_spectral_function")
     if v.model is not model and v.model != model:
         raise ModelMismatchError(
             "apply_spectral_function requires the vector to live over `model`"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import kmiter.iterations
-from kmiter.errors import ConfigError, DegenerateComplementError, ResonanceError
+from kmiter.errors import ConfigError, DegenerateComplementError, ModeOverflowError, ResonanceError
 from kmiter.iterations import (
     CheckpointRecord,
     IterationFactors,
@@ -25,6 +25,7 @@ from kmiter.iterations import (
     run_schedule,
 )
 from kmiter.problems import (
+    OVERFLOW_LIMIT,
     Elliptic,
     Hyperbolic,
     Parabolic,
@@ -32,6 +33,7 @@ from kmiter.problems import (
     hyperbolic_solution_dt0,
     parabolic_backward_trace,
 )
+from kmiter.regularization import regularized_fixed_point
 from kmiter.spectral import (
     SpectralVec,
     from_coeffs,
@@ -712,6 +714,51 @@ def schedules(draw, mode, most):
     return IterationSchedule(checkpoints=tuple(cps), mode=mode, stop=stop)
 
 
+def fixed_point_outcome(fac, retained):
+    """What the fixed point with F set to 0 off ``retained`` must give, from
+    Python floats mode by mode: the retained degenerate modes refused, else
+    the modes past the 1e300 guard refused, else z / (1 - F) on the
+    retained modes and z on the others."""
+    z, comp = fac.z.coeffs.tolist(), fac.complements.tolist()
+    degenerate = [j for j, keep in enumerate(retained) if keep and comp[j] == 0.0]
+    if degenerate:
+        return DegenerateComplementError, tuple(degenerate)
+    want = [z[j] / comp[j] if keep else z[j] for j, keep in enumerate(retained)]
+    past = [j for j, x in enumerate(want) if not abs(x) <= OVERFLOW_LIMIT]
+    if past:
+        return ModeOverflowError, tuple(past)
+    return None, np.array(want).tobytes()
+
+
+def solve_outcome(solve):
+    try:
+        return None, solve().coeffs.tobytes()
+    except (DegenerateComplementError, ModeOverflowError) as err:
+        return type(err), err.mode_indices
+
+
+class TestFixedPointKernel:
+    """The fixed point and the cutoff fixed point are one quotient with one
+    refusal rule, bit for bit against a per-mode reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=factor_cases(scaled=True), data=st.data())
+    def test_quotient_or_refusal(self, case, data):
+        fac = case[0]
+        lam = fac.model.eigenvalues
+        n = data.draw(st.one_of(
+            st.sampled_from(lam.tolist()),  # a cutoff on an eigenvalue retains it
+            st.floats(1e-3, 2.0).map(lambda r: r * float(lam[-1])),
+        ))
+        retained = (lam <= n).tolist()
+        assert solve_outcome(lambda: regularized_fixed_point(fac, fac.z, n)) == (
+            fixed_point_outcome(fac, retained)
+        )
+        assert solve_outcome(lambda: fixed_point(fac)) == (
+            fixed_point_outcome(fac, [True] * lam.size)
+        )
+
+
 class TestToleranceStop:
     """The closed form stops on the step the stepwise runner stops on."""
 
@@ -882,6 +929,20 @@ class TestNormOverflow:
     """A norm whose sum of squares overflows is finite and leaks no warning:
     the runs with data 1e160 read 2^600 times the runs with data 2^-600
     times that, bit for bit, in both modes."""
+
+    def test_eigenvalue_past_square_overflow(self):
+        # lambda^2 overflows at 1e200; the scale weights are inf or 0 there
+        # and no runner warns
+        m = make_custom_spectrum([1.0, 2.0, 1e200])
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=from_coeffs(m, [1.0, 1.0, 0.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scale_weights(m, -0.5)[2] == 0.0 and scale_weights(m, 0.5)[2] == math.inf
+            sched = IterationSchedule(checkpoints=(1, 5))
+            for run in (report_closed_form, iterate_stepwise):
+                assert [r.k for r in run(fac, zeros(m), sched).records] == [1, 5]
+            report = check_operator_conditions(fac, [unit_mode(m, 1)], 1.0)
+        assert report.nonexpansive and report.condition1_holds
 
     @pytest.mark.parametrize("mode", ["stepwise", "closed_form"])
     @pytest.mark.parametrize("with_reference", [False, True])

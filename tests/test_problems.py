@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kmiter import problems as kp
 from kmiter.errors import ConfigError, ModeOverflowError, ResonanceError, describe_modes
+from kmiter.iterations import build_factors
 from kmiter.problems import (
     OVERFLOW_LIMIT,
     Elliptic,
@@ -218,6 +219,22 @@ class TestParabolicTraces:
         m = sine_model()
         with pytest.raises(ConfigError):
             parabolic_solution_at(zeros(m), -0.1)
+
+    def test_eigenvalue_past_square_overflow(self):
+        # lambda^2 overflows to inf at 8e307: the heat factor is exp(-inf) = 0
+        # and the backward value overflows, all without a RuntimeWarning
+        m = make_custom_spectrum([1.0, 8e307])
+        p = Parabolic(T=1.0, f=from_coeffs(m, [1.0, 1.0]))
+        comp = build_factors(p).complements
+        assert comp[0] == np.exp(-1.0) and comp[1] == 0.0
+        out = parabolic_solution_at(p.f, 0.5)
+        assert out.coeffs.tolist() == [np.exp(-0.5), 0.0]
+        with pytest.raises(ModeOverflowError) as err:
+            parabolic_backward_trace(p)
+        assert err.value.mode_indices == (1,)
+        with pytest.raises(ModeOverflowError) as err:
+            parabolic_trajectory_from_terminal(p)(np.array([0.0, 0.5]))
+        assert err.value.mode_indices == (1,)
 
 
 class TestBoundedRefusals:

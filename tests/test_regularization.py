@@ -2,13 +2,14 @@ import dataclasses
 import gc
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kmiter import regularization
-from kmiter.errors import ConfigError, DegenerateComplementError
+from kmiter.errors import ConfigError, DegenerateComplementError, ModeOverflowError
 from kmiter.iterations import build_factors, fixed_point
 from kmiter.problems import Elliptic, Parabolic, elliptic_dt_solution_at
 from kmiter.regularization import (
@@ -180,7 +181,7 @@ class TestRegularizedFixedPoint:
         )
         n = 2.0 * m.lambda_max
         out = regularized_fixed_point(fac, fac.z, n)
-        np.testing.assert_allclose(out.coeffs, fixed_point(fac).coeffs, rtol=1e-14)
+        assert out.coeffs.tobytes() == fixed_point(fac).coeffs.tobytes()
 
     def test_empty_retention_returns_data_term(self):
         m = make_sine_spectrum_1d(4, 1.0)
@@ -207,6 +208,21 @@ class TestRegularizedFixedPoint:
         # cutting below the degenerate mode is the advertised way out
         out = regularized_fixed_point(fac, fac.z, 10.0)
         assert math.isfinite(out.coeffs[1])
+
+    def test_overflow_refused_as_in_fixed_point(self):
+        # z / (1 - F) = 1e200 / sech(300)^2 passes the 1e300 guard at mode 2:
+        # both fixed points refuse it, and neither warns on the way
+        m = make_custom_spectrum([1.0, 2.0, 300.0])
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=from_coeffs(m, [1.0, 1.0, 1e200])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (lambda: fixed_point(fac), lambda: regularized_fixed_point(fac, fac.z, 1e3)):
+                with pytest.raises(ModeOverflowError) as err:
+                    solve()
+                assert err.value.mode_indices == (2,)
+            # the cutoff drops the mode, and z passes unchanged there
+            out = regularized_fixed_point(fac, fac.z, 100.0)
+            assert out.coeffs[2] == fac.z.coeffs[2]
 
 
 class TestCandidateCutoffs:
@@ -791,8 +807,8 @@ def _near_tie_spectra(draw):
 
 class TestDefaultGridCounts:
     @settings(max_examples=200, deadline=None)
-    @given(model=_near_tie_spectra())
-    def test_counts_are_group_ends(self, model):
+    @given(model=_near_tie_spectra(), parabolic=st.booleans())
+    def test_counts_are_group_ends(self, model, parabolic):
         lam = model.eigenvalues
         grid, kept = regularization._default_grid(lam)
         assert grid.tobytes() == candidate_cutoffs(model).tobytes()
@@ -801,7 +817,10 @@ class TestDefaultGridCounts:
         ends = np.flatnonzero(np.append(lam[1:] != lam[:-1], True)) + 1
         assert kept.tolist() == [0] + ends.tolist()
 
-        fac = build_factors(Elliptic(T=1e-3 / float(lam[-1]), f=zeros(model), g=zeros(model)))
+        if parabolic:  # lambda^2 overflows near the float max; the heat factor is then 0
+            fac = build_factors(Parabolic(T=1.0, f=zeros(model)))
+        else:
+            fac = build_factors(Elliptic(T=1e-3 / float(lam[-1]), f=zeros(model), g=zeros(model)))
         plan = RegularizerPlan(n=1.0, eps_prime=1e-3, source=SourceCondition(0.0, lambda lam: lam, 0.0))
         assert [p.retained for p in error_bound_curve(plan, fac)] == kept.tolist()
 
