@@ -35,7 +35,7 @@ def main():
     e1 = unit_mode(model, 1)
     for gamma in (0.5, 1.0, 2.0):
         fac = build_factors(Parabolic(T=0.0625, f=e1, gamma=gamma))
-        rep = check_operator_conditions(fac, [e1], 1.0)
+        rep = check_operator_conditions(fac, 1.0)
         lo = float(fac.factors.min())
         verdict = "holds" if rep.condition1_holds else "FAILS"
         print(

@@ -29,15 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, config_number
 from .problems import parabolic_solution_at
-from .spectral import (
-    CustomBasis,
-    Sine1D,
-    SineRect2D,
-    SpectralVec,
-    SpectrumModel,
-    unit_mode,
-    zeros,
-)
+from .spectral import Sine1D, SineRect2D, SpectralVec, SpectrumModel, unit_mode, zeros
 
 __all__ = [
     "GridFunction",

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateComplementError, config_number, describe_modes
 from .problems import Elliptic, Hyperbolic, Parabolic, ProblemSpec, _guard_overflow
-from .spectral import SpectralVec, SpectrumModel, _l2, norm_s, scale_weights
+from .spectral import SpectralVec, SpectrumModel, _l2, _weigher, scale_weights
 
 __all__ = [
     "IterationFactors",
@@ -394,7 +394,8 @@ def _scale_norm(model: SpectrumModel, s: float):
     if s == 0.0:
         return _l2, None
     weights = scale_weights(model, 0.5 * s)
-    return (lambda v: _l2(np.multiply(v, weights, out=v))), weights
+    weigh = _weigher(weights)
+    return (lambda v: _l2(weigh(v, out=v))), weights
 
 
 def _error_vs(reference: Optional[SpectralVec]):
@@ -564,14 +565,19 @@ def run_schedule(
 
 @dataclasses.dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of testing the energy inequalities on sample vectors.
+    """Outcome of the energy inequalities and non-expansivity for the
+    linear part T = F(A) of the iteration.
 
     Condition (1): ||(I-T)x||^2 <= c (||x||^2 - ||Tx||^2).
     Condition (2): <(I-T)x, x>  >= (c+1)/(2c) ||(I-T)x||^2.
-    Both are evaluated for the linear part T = F(A) in the scale norm of the
-    iteration space, on samples scaled to unit norm there.  Violations are
-    signed (positive = inequality broken); a condition "holds" when its
-    worst violation stays within ``tol``.
+    Non-expansivity: ||Tx|| <= ||x||.
+    T is diagonal, so in any scale norm the supremum of each signed
+    violation (positive = broken) over unit x is its largest per-mode term:
+    comp ((1 - c) - (1 + c) F) for (1), the same over 2c for (2), and
+    |F| - 1, with comp = 1 - F.  A check holds when its violation is at
+    most ``tol``, which a NaN term never is.  ``worst_mode`` is the
+    zero-based position of the largest term over the three checks (the
+    first NaN if any, the lowest position on a tie).
     """
 
     nonexpansive: bool
@@ -581,76 +587,42 @@ class ConditionReport:
     condition1_violation: float
     condition2_violation: float
     nonexpansive_violation: float
-    worst_sample: int
+    worst_mode: int
     c: float
-    scale: float
     tol: float
 
 
-def _worse(a: float, b: float) -> float:
-    """max(a, b), except that a NaN on either side wins: a violation that
-    could not be computed is never dropped."""
-    return b if b > a or b != b else a
-
-
 def check_operator_conditions(
-    fac: IterationFactors,
-    sample_vectors: Sequence[SpectralVec],
-    c: float,
-    *,
-    scale: Optional[float] = None,
-    tol: float = 1e-12,
+    fac: IterationFactors, c: float, *, tol: float = 1e-12
 ) -> ConditionReport:
-    """Evaluate the two energy inequalities and non-expansivity on samples.
+    """The two energy inequalities and non-expansivity, read exactly off the
+    factors per mode as :class:`ConditionReport` describes; ``c`` must be
+    positive and finite.
 
-    The constant ``c`` must be positive.  Returns the worst signed violation
-    across the samples and all three checks, plus which sample attained it.
-    Every check is homogeneous in the sample, so each sample is checked
-    scaled to unit s-norm: violations are relative to the sample's size,
-    and the verdicts do not depend on it.  A zero sample reads violations
-    0.  A sample whose norm is not finite, or that holds inf or NaN, reads
-    NaN violations, and the checks they enter fail.
+    Condition (1)'s term is taken as (1 + c) comp (r - F) with
+    r = (1 - c)/(1 + c): sign-exact at c = 1 (r = 0), and no inf * 0 at
+    any c.  Condition (2)'s is comp (r - F) (1 + 1/c)/2.  A term past the
+    float max reads -inf or inf.
     """
-    if not sample_vectors:
-        raise ConfigError("sample_vectors must be non-empty")
     c = float(c)
-    if not (c > 0.0):
-        raise ConfigError(f"c must be positive, got {c!r}")
-    s = scale if scale is not None else default_scale(fac.kind)
-    model = fac.model
-    w = scale_weights(model, s)
+    if not (0.0 < c < math.inf):
+        raise ConfigError(f"c must be positive and finite, got {c!r}")
     F = fac.factors
-    comp = fac.complements
-
-    v1 = v2 = vn = -math.inf
-    worst = 0
-    worst_val = -math.inf
-    for i, x in enumerate(sample_vectors):
-        if x.model != model:
-            raise ConfigError(f"sample {i} lives over a different model")
-        r = norm_s(x, s)
-        # unit s-norm; a norm that is not finite makes every sum NaN
-        xc = x.coeffs / (r if math.isfinite(r) else math.nan) if r else x.coeffs
-        dx = comp * xc
-        n2, Tn2 = float(np.dot(w, xc * xc)), float(np.dot(w, (F * xc) ** 2))
-        d2, ip = float(np.dot(w, dx * dx)), float(np.dot(w, dx * xc))
-        viol1 = d2 - c * (n2 - Tn2)
-        viol2 = (c + 1.0) / (2.0 * c) * d2 - ip
-        violn = math.sqrt(Tn2) - math.sqrt(n2)
-        v1, v2, vn = _worse(v1, viol1), _worse(v2, viol2), _worse(vn, violn)
-        here = _worse(_worse(viol1, viol2), violn)
-        if not (here <= worst_val) and worst_val == worst_val:  # the first NaN stays
-            worst_val, worst = here, i
+    base = fac.complements * ((1.0 - c) / (1.0 + c) - F)
+    with np.errstate(over="ignore"):
+        terms = (base * (1.0 + c), base * (0.5 + 0.5 / c), np.abs(F) - 1.0)
+    worst = np.maximum(np.maximum(terms[0], terms[1]), terms[2])
+    j = int(np.argmax(worst))  # the first NaN, if any
+    v1, v2, vn = (float(t.max()) for t in terms)
     return ConditionReport(
         nonexpansive=vn <= tol,
         condition1_holds=v1 <= tol,
         condition2_holds=v2 <= tol,
-        max_violation=_worse(_worse(v1, v2), vn),
+        max_violation=float(worst[j]),
         condition1_violation=v1,
         condition2_violation=v2,
         nonexpansive_violation=vn,
-        worst_sample=worst,
+        worst_mode=j,
         c=c,
-        scale=s,
         tol=tol,
     )

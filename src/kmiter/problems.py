@@ -36,7 +36,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ConfigError, ModeOverflowError, ResonanceError, describe_modes
-from .spectral import SpectralVec, SpectrumModel, norm_s, scale_weights, unit_mode
+from .spectral import SpectralVec, SpectrumModel, _weigher, norm_s, scale_weights, unit_mode
 
 __all__ = [
     "RESONANCE_TOL",
@@ -240,18 +240,20 @@ def _hyperbolic(spec: Hyperbolic, ts, phi: np.ndarray) -> Tuple[np.ndarray, np.n
 
 
 def _parabolic_u(spec: Parabolic, ts) -> np.ndarray:
-    """u = exp(A^2 (T - t)) f, so u(T) = f; a zero datum gives +0."""
+    """u = exp(A^2 (T - t)) f, so u(T) = f, also where lambda^2 = inf (its
+    exponent at t = T is 0, not inf * 0); a zero datum gives +0."""
     s = spec.T - _check_times(spec, ts)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         lam2 = spec.model.eigenvalues * spec.model.eigenvalues
-        return np.where(spec.f.coeffs == 0.0, 0.0, np.exp(lam2 * s) * spec.f.coeffs)
+        x = np.multiply(lam2, s, out=np.zeros((s.size, lam2.size)), where=s != 0.0)
+        return np.where(spec.f.coeffs == 0.0, 0.0, np.exp(x) * spec.f.coeffs)
 
 
 def _parabolic(spec: Parabolic, ts) -> Tuple[np.ndarray, np.ndarray]:
-    """u of :func:`_parabolic_u` and du/dt = -A^2 u."""
+    """u of :func:`_parabolic_u` and du/dt = -A^2 u, zero where u is."""
     u = _parabolic_u(spec, ts)
     with np.errstate(over="ignore", invalid="ignore"):
-        return u, -(spec.model.eigenvalues * spec.model.eigenvalues) * u
+        return u, np.negative(_times_datum(spec.model.eigenvalues * spec.model.eigenvalues, u))
 
 
 def elliptic_solution_at(spec: Elliptic, t: float) -> SpectralVec:
@@ -287,6 +289,8 @@ def parabolic_solution_at(u0: SpectralVec, t: float) -> SpectralVec:
     t = float(t)
     if t < 0.0:
         raise ConfigError(f"forward evolution needs t >= 0, got {t!r}")
+    if t == 0.0:  # exp(-lambda^2 t) is 1, also where lambda^2 = inf
+        return u0
     lam = u0.model.eigenvalues
     with np.errstate(over="ignore"):  # lambda^2 = inf gives exp(-inf) = 0
         return SpectralVec(np.exp(-lam * lam * t) * u0.coeffs, u0.model)
@@ -380,15 +384,16 @@ def trajectory_norm(spec: ProblemSpec, traj: TrajectoryProvider, tn: TrajectoryN
     """
     ts = np.linspace(0.0, spec.T, tn.quadrature_points)
     # weighted before squaring, as in norm_s: a du/dt past 1e154 under the
-    # "Vp" weight (1 + lambda^2)^-1 does not overflow
-    w_u = scale_weights(spec.model, 0.5)
-    w_du = scale_weights(spec.model, 0.0 if tn.which in ("Ve", "Vh") else -0.5)
+    # "Vp" weight (1 + lambda^2)^-1 does not overflow, and a zero value is a
+    # zero term under an infinite weight
+    w_u = _weigher(scale_weights(spec.model, 0.5))
+    w_du = _weigher(scale_weights(spec.model, 0.0 if tn.which in ("Ve", "Vh") else -0.5))
     rows = max(1, _BLOCK_VALUES // spec.model.n_modes)
     vals = np.empty(ts.size)
     with np.errstate(over="ignore"):  # a norm past float max is inf
         for i in range(0, ts.size, rows):
             u, du = traj(ts[i : i + rows])
-            x, y = u * w_u, du * w_du
+            x, y = w_u(u), w_du(du)
             vals[i : i + rows] = np.einsum("ij,ij->i", x, x) + np.einsum("ij,ij->i", y, y)
         if tn.which == "Vh":
             return float(np.sqrt(np.max(vals)))

@@ -323,6 +323,15 @@ def _l2(v: np.ndarray) -> float:
         return math.sqrt(ss) if ss != math.inf else _scaled_l2(v)
 
 
+def _weigher(w: np.ndarray) -> Callable:
+    """v -> v * w per mode (into ``out`` if given) for weights ``w`` of
+    :func:`scale_weights`, a zero v_j a zero term also under an infinite w_j
+    (lambda_j^2 = inf at a positive index), not inf * 0 = NaN."""
+    if np.isfinite(w).all():
+        return lambda v, out=None: np.multiply(v, w, out=out)
+    return lambda v, out=None: np.multiply(v, np.where(v == 0.0, 0.0, w), out=out)
+
+
 def norm_s(v: SpectralVec, s: float) -> float:
     """Scale norm ||v||_s; ``s = 0`` is the plain L2 norm of the coefficients.
 
@@ -332,10 +341,11 @@ def norm_s(v: SpectralVec, s: float) -> float:
     about 1.5e-154), the sum is taken at one exact power-of-two scale, so
     the norm of a finite weighted vector is finite and that of a nonzero
     one is nonzero.  Only a weighted coefficient that itself overflows
-    gives inf.
+    gives inf; a zero coefficient is a zero term, also under an infinite
+    weight.
     """
     with np.errstate(over="ignore"):
-        c = v.coeffs if s == 0.0 else scale_weights(v.model, 0.5 * s) * v.coeffs
+        c = v.coeffs if s == 0.0 else _weigher(scale_weights(v.model, 0.5 * s))(v.coeffs)
     r = _l2(c)
     # r < 2**-511 exactly when the sum of squares is below 2**-1022
     return _scaled_l2(c) if r < _SQRT_NORMAL_MIN and c.any() else r

@@ -11,10 +11,10 @@ The functions at the end are the row-by-row grid CSV reader and writer that
 built as one frozen dataclass per candidate, which
 :func:`kmiter.regularization.error_bound_curve` replaced with one pass over
 its columns; tests require the library to accept, refuse and return exactly
-what they do.  Last comes the sample loop of
-:func:`kmiter.iterations.check_operator_conditions` before it scaled its
-samples, which the library must match bit for bit on each sample scaled to
-unit norm in the scale norm.
+what they do.  Last comes the sampled operator-condition check that
+:func:`kmiter.iterations.check_operator_conditions` replaced with its exact
+per-mode one: on samples of unit norm in the scale norm, no sampled
+violation may exceed the exact one, and a unit mode reads its own term.
 """
 
 import csv
@@ -167,12 +167,14 @@ def error_bound_curve(plan, fac, phibar_reference=None, candidates=None):
 
 
 # ---------------------------------------------------------------------------
-# the operator-condition sums, without a scale
+# the operator-condition sums over samples
 
 
 def condition_violations(fac, sample_vectors, c, scale):
     """(condition 1, condition 2, non-expansive, worst sample), taken as
-    running Python maxima of the unscaled per-sample sums."""
+    running Python maxima of the per-sample sums in the scale norm of index
+    ``scale``; on a sample of unit norm there each is a weighted mean of the
+    per-mode terms."""
     w = scale_weights(fac.model, scale)
     F, comp = fac.factors, fac.complements
     v1 = v2 = vn = worst_val = -math.inf

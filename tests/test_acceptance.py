@@ -14,6 +14,7 @@ import time
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 from kmiter import (
     Elliptic,
@@ -29,6 +30,7 @@ from kmiter import (
     build_factors,
     check_operator_conditions,
     choose_h,
+    default_scale,
     elliptic_dt_solution_at,
     error_bound_curve,
     fixed_point,
@@ -57,6 +59,8 @@ from kmiter import (
     zeros,
 )
 from kmiter.bench import CONVERGENCE_CHECKPOINTS, report_from_dict, report_to_dict
+
+import oracles
 
 mp.mp.dps = 50
 
@@ -264,16 +268,24 @@ def test_criterion_4_operator_energy_conditions():
     ell = build_factors(Elliptic(T=1.0, f=zeros(model), g=zeros(model)))
     hyp = build_factors(Hyperbolic(T=1.0 / math.pi, f=zeros(model), g=zeros(model)))
     for fac in (ell, hyp):
-        rep = check_operator_conditions(fac, samples, 1.0)
+        rep = check_operator_conditions(fac, 1.0)
         assert rep.condition1_holds
         assert rep.condition2_holds
         assert rep.nonexpansive
-        assert rep.max_violation <= 1e-12
+        assert rep.max_violation <= 0.0  # sign-exact per mode at c = 1
         assert float(np.max(np.abs(fac.factors))) <= 1.0
+
+        # the exact checks are suprema: the samples, at unit norm in the
+        # iteration space, never read worse
+        s = default_scale(fac.kind)
+        unit = [(1.0 / norm_s(x, s)) * x for x in samples]
+        sampled = oracles.condition_violations(fac, unit, 1.0, s)
+        exact = (rep.condition1_violation, rep.condition2_violation, rep.nonexpansive_violation)
+        assert all(v <= e + 1e-12 for v, e in zip(sampled[:3], exact))
 
         # conditions (1) and (2) are two spellings of one inequality:
         # viol1 = 2 c viol2 identically (checked sample by sample at c=1)
-        w = scale_weights(model, rep.scale)
+        w = scale_weights(model, s)
         for x in samples[:200]:
             xc = x.coeffs
             n2 = float(np.dot(w, xc * xc))
@@ -284,6 +296,12 @@ def test_criterion_4_operator_energy_conditions():
             viol1 = d2 - (n2 - Tn2)
             viol2 = d2 - ip
             assert abs(viol1 - 2.0 * viol2) <= 1e-9 * abs(viol1) + 1e-13
+
+    # the hyperbolic supremum sits at mode 11, where 22 is nearest 7 pi:
+    # -sin(22)^2 / 2 = -3.917e-5, far above what the samples reach
+    rep = check_operator_conditions(hyp, 1.0)
+    assert rep.condition1_violation == pytest.approx(-3.917e-5, rel=1e-3)
+    assert rep.worst_mode == 10
 
     # asymptotic regularity on mass where the factor stays below 0.999
     big = make_sine_spectrum_1d(64, 1.0)
@@ -307,9 +325,10 @@ def test_criterion_4_operator_energy_conditions():
     small = make_sine_spectrum_1d(8, 1.0)
     fac = build_factors(Parabolic(T=0.0625, f=unit_mode(small, 1), gamma=2.0))
     assert fac.factors[0] < 0.0
-    rep = check_operator_conditions(fac, [unit_mode(small, 1)], 1.0)
+    rep = check_operator_conditions(fac, 1.0)
     assert not rep.condition1_holds
-    assert rep.condition1_violation > 0.17
+    assert rep.condition1_violation == pytest.approx(0.17114, rel=1e-4)
+    assert rep.worst_mode == 0
     assert rep.nonexpansive
     _passed(4, "energy conditions, regularity and the gamma=2 counterexample hold")
 

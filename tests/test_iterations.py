@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import warnings
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -374,143 +376,6 @@ class TestReports:
         assert all(type(k) is int for k in (*sched.checkpoints, sched.stop.max_steps))
 
 
-class TestOperatorConditions:
-    def samples(self, model, count=40, seed=0):
-        rng = np.random.default_rng(seed)
-        return [
-            from_coeffs(model, rng.standard_normal(model.n_modes))
-            for _ in range(count)
-        ]
-
-    def test_elliptic_condition_one_with_c_one(self):
-        fac = build_factors(elliptic_unit(n=10))
-        rep = check_operator_conditions(fac, self.samples(fac.model), c=1.0)
-        assert rep.condition1_holds
-        assert rep.condition2_holds
-        assert rep.nonexpansive
-        assert rep.max_violation <= 1e-12
-
-    def test_zero_sample_holds_with_equality(self):
-        fac = build_factors(elliptic_unit())
-        rep = check_operator_conditions(fac, [zeros(fac.model)], c=1.0)
-        assert rep.condition1_violation == 0.0
-        assert rep.condition2_violation == 0.0
-        assert rep.nonexpansive_violation == 0.0
-
-    def test_parabolic_gamma_two_breaks_condition_one(self):
-        m = make_sine_spectrum_1d(3, 1.0)
-        fac = build_factors(Parabolic(T=0.0625, f=zeros(m), gamma=2.0))
-        assert fac.factors[0] < 0.0
-        rep = check_operator_conditions(fac, [unit_mode(m, 1)], c=1.0)
-        assert not rep.condition1_holds
-        F = fac.factors[0]
-        expected = (1.0 - F) ** 2 - (1.0 - F * F)
-        assert rep.condition1_violation == pytest.approx(expected, rel=1e-12)
-        assert expected > 0.17  # decisively broken, not a rounding artifact
-        # the same factors remain non-expansive regardless
-        assert rep.nonexpansive
-
-    def test_conditions_one_and_two_are_proportional(self):
-        # algebra: viol1 = 2c viol2 per sample, so the two verdicts agree
-        rng = np.random.default_rng(9)
-        m = make_sine_spectrum_1d(6, 1.0)
-        for gamma, c in ((2.0, 1.0), (1.0, 1.0), (1.5, 2.5)):
-            fac = build_factors(Parabolic(T=0.0625, f=zeros(m), gamma=gamma))
-            for x in self.samples(m, count=10, seed=rng.integers(1 << 30)):
-                rep = check_operator_conditions(fac, [x], c=c)
-                assert rep.condition1_violation == pytest.approx(
-                    2.0 * c * rep.condition2_violation, rel=1e-9, abs=1e-13
-                )
-
-    def test_sample_past_the_square_overflow_scales_exactly(self):
-        # coefficients near 1e160: every sum overflows, and unscaled each
-        # violation would be inf - inf = nan
-        m = make_sine_spectrum_1d(64, 1.0)
-        g = from_coeffs(m, 1e160 * np.random.default_rng(0).standard_normal(64))
-        fac = build_factors(Elliptic(T=0.5, f=zeros(m), g=g))
-        small = from_coeffs(m, np.ldexp(g.coeffs, -600))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rep = check_operator_conditions(fac, [g], c=1.0)
-            want = check_operator_conditions(fac, [small], c=1.0)
-        verdicts = ("nonexpansive", "condition1_holds", "condition2_holds")
-        assert [getattr(rep, v) for v in verdicts] == [getattr(want, v) for v in verdicts]
-        assert all(getattr(rep, v) for v in verdicts)
-        violations = (
-            rep.max_violation, rep.condition1_violation,
-            rep.condition2_violation, rep.nonexpansive_violation,
-        )
-        assert all(math.isfinite(v) for v in violations)
-
-    def test_verdicts_do_not_depend_on_the_sample_size(self):
-        m = make_sine_spectrum_1d(3, 1.0)
-        verdicts = ("nonexpansive", "condition1_holds", "condition2_holds")
-        parabolic = build_factors(Parabolic(T=0.0625, f=zeros(m), gamma=2.0))
-        elliptic = build_factors(Elliptic(T=0.5, f=zeros(m), g=unit_mode(m, 1)))
-        for fac, x, broken in (
-            (parabolic, unit_mode(m, 1), True),
-            (elliptic, from_coeffs(m, [1.0, -2.0, 3.0]), False),
-        ):
-            for a in (1e-170, 1e-6, 1.0, 1e3, 1e200):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RuntimeWarning)
-                    rep = check_operator_conditions(fac, [a * x], c=1.0)
-                assert [getattr(rep, v) for v in verdicts] == [True, not broken, not broken]
-                want = check_operator_conditions(fac, [x], c=1.0)
-                assert rep.condition1_violation == pytest.approx(
-                    want.condition1_violation, rel=1e-12, abs=1e-15
-                )
-
-    def test_nan_violation_is_never_dropped(self):
-        m = make_sine_spectrum_1d(4, 1.0)
-        fac = build_factors(Elliptic(T=0.5, f=zeros(m), g=unit_mode(m, 1)))
-        for bad in (math.nan, math.inf):
-            x = from_coeffs(m, [1.0, bad, 0.0, 0.0])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                rep = check_operator_conditions(fac, [unit_mode(m, 2), x, unit_mode(m, 3)], c=1.0)
-            assert not (rep.nonexpansive or rep.condition1_holds or rep.condition2_holds)
-            assert math.isnan(rep.max_violation)
-            assert rep.worst_sample == 1
-
-    @given(
-        st.lists(st.floats(-1e150, 1e150, allow_subnormal=False), min_size=3, max_size=3),
-        st.integers(1, 3),
-        st.floats(0.1, 10.0),
-        st.sampled_from([-1.0, -0.5, 0.0, 1.0]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_report_bitwise_unchanged_where_sums_are_finite(self, coeffs, count, c, scale):
-        m = make_sine_spectrum_1d(3, 1.0)
-        fac = build_factors(Elliptic(T=0.5, f=zeros(m), g=unit_mode(m, 1)))
-        rng = np.random.default_rng(len(coeffs) + count)
-        samples = [from_coeffs(m, coeffs)] + [
-            from_coeffs(m, rng.standard_normal(3)) for _ in range(count - 1)
-        ]
-        # the library checks each sample at unit norm in the scale norm
-        unit = [from_coeffs(m, x.coeffs / (norm_s(x, scale) or 1.0)) for x in samples]
-        want = oracles.condition_violations(fac, unit, c, scale)
-        assume(all(math.isfinite(v) for v in want[:3]))
-        rep = check_operator_conditions(fac, samples, c=c, scale=scale)
-        got = (
-            rep.condition1_violation, rep.condition2_violation,
-            rep.nonexpansive_violation, rep.worst_sample,
-        )
-        assert [repr(v) for v in got] == [repr(v) for v in want]
-        assert repr(rep.max_violation) == repr(max(want[:3]))
-
-    def test_sample_validation(self):
-        fac = build_factors(elliptic_unit())
-        with pytest.raises(ConfigError):
-            check_operator_conditions(fac, [], c=1.0)
-        with pytest.raises(ConfigError):
-            check_operator_conditions(fac, [zeros(fac.model)], c=0.0)
-        with pytest.raises(ConfigError):
-            check_operator_conditions(
-                fac, [zeros(make_sine_spectrum_1d(9, 1.0))], c=1.0
-            )
-
-
 # ---------------------------------------------------------------------------
 # bitwise references: the runners as they were before log F, the norm
 # weights and the step buffers were hoisted out of their loops
@@ -737,6 +602,142 @@ def solve_outcome(solve):
         return type(err), err.mode_indices
 
 
+def exact_condition_terms(fac, c):
+    """Per mode, in exact rationals on the stored F, 1 - F and c: the terms
+    (condition 1, condition 2, non-expansive); and the size
+    max_j comp_j (|1 - c| + (1 + c) |F_j|) of their rounding."""
+    c = Fraction(c)
+    terms, size = [], Fraction(0)
+    for F, comp in zip(fac.factors.tolist(), fac.complements.tolist()):
+        F, comp = Fraction(F), Fraction(comp)
+        t1 = comp * ((1 - c) - (1 + c) * F)
+        terms.append((t1, t1 / (2 * c), abs(F) - 1))
+        size = max(size, comp * (abs(1 - c) + (1 + c) * abs(F)))
+    return terms, size
+
+
+def violations(rep):
+    return rep.condition1_violation, rep.condition2_violation, rep.nonexpansive_violation
+
+
+class TestOperatorConditions:
+    """T = F(A) is diagonal, so each check's supremum over unit vectors is
+    its largest per-mode term: comp ((1 - c) - (1 + c) F) for condition (1),
+    the same over 2c for condition (2), and |F| - 1, with comp = 1 - F."""
+
+    def test_elliptic_condition_one_with_c_one(self):
+        fac = build_factors(elliptic_unit(n=10))
+        rep = check_operator_conditions(fac, c=1.0)
+        assert rep.condition1_holds
+        assert rep.condition2_holds
+        assert rep.nonexpansive
+        assert rep.max_violation <= 0.0
+
+    def test_parabolic_gamma_two_breaks_condition_one(self):
+        m = make_sine_spectrum_1d(3, 1.0)
+        fac = build_factors(Parabolic(T=0.0625, f=zeros(m), gamma=2.0))
+        assert fac.factors[0] < 0.0
+        rep = check_operator_conditions(fac, c=1.0)
+        assert not rep.condition1_holds
+        F = fac.factors[0]
+        expected = (1.0 - F) ** 2 - (1.0 - F * F)
+        assert rep.condition1_violation == pytest.approx(expected, rel=1e-12)
+        assert rep.worst_mode == 0
+        assert expected > 0.17  # decisively broken, not a rounding artifact
+        # the same factors remain non-expansive regardless
+        assert rep.nonexpansive
+
+    def test_conditions_one_and_two_are_proportional(self):
+        # algebra: term1 = 2c term2 per mode, so the two verdicts agree
+        m = make_sine_spectrum_1d(6, 1.0)
+        for gamma, c in ((2.0, 1.0), (1.0, 1.0), (1.5, 2.5), (1.5, 0.3)):
+            fac = build_factors(Parabolic(T=0.0625, f=zeros(m), gamma=gamma))
+            rep = check_operator_conditions(fac, c=c)
+            assert rep.condition1_violation == pytest.approx(
+                2.0 * c * rep.condition2_violation, rel=1e-12, abs=1e-15
+            )
+            assert rep.condition1_holds == rep.condition2_holds
+
+    def test_nan_violation_is_never_dropped(self):
+        m = make_sine_spectrum_1d(4, 1.0)
+        fac = build_factors(Elliptic(T=0.5, f=zeros(m), g=unit_mode(m, 1)))
+        F = fac.factors.copy()
+        F[[1, 3]] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check_operator_conditions(dataclasses.replace(fac, factors=F), c=1.0)
+        assert not (rep.nonexpansive or rep.condition1_holds or rep.condition2_holds)
+        assert math.isnan(rep.max_violation)
+        assert rep.worst_mode == 1
+
+    @given(factor_cases(), st.floats(1e-3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_violations_are_the_exact_per_mode_maxima(self, case, c):
+        fac = case[0]
+        terms, size = exact_condition_terms(fac, c)
+        rep = check_operator_conditions(fac, c)
+        for k, (got, slack) in enumerate(zip(violations(rep), (1e-12 * size, 1e-12 * size, 1e-15))):
+            assert abs(Fraction(got) - max(t[k] for t in terms)) <= slack
+        assert rep.max_violation == max(violations(rep))
+        largest = max(max(t) for t in terms)
+        assert largest - max(terms[rep.worst_mode]) <= max(1e-12 * size, 1e-15)
+
+    @given(factor_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_elliptic_and_hyperbolic_hold_at_c_one_without_tolerance(self, case):
+        fac = case[0]
+        assume(fac.kind != "parabolic")
+        assert max(violations(check_operator_conditions(fac, 1.0))) <= 0.0
+
+    @given(factor_cases(), st.sampled_from([1e-300, 1e300, sys.float_info.max]))
+    @settings(max_examples=100, deadline=None)
+    def test_extreme_c_reads_the_exact_verdicts_without_warnings(self, case, c):
+        fac = case[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check_operator_conditions(fac, c)
+        terms, _ = exact_condition_terms(fac, c)
+        verdicts = (rep.condition1_holds, rep.condition2_holds, rep.nonexpansive)
+        for k, (got, holds) in enumerate(zip(violations(rep), verdicts)):
+            exact = max(t[k] for t in terms)
+            assert not math.isnan(got)
+            near_tol = abs(exact - Fraction(rep.tol)) <= Fraction(rep.tol) / 10**6
+            assert holds == (exact <= rep.tol) or near_tol
+
+    @given(
+        factor_cases(),
+        st.floats(0.1, 10.0),
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_samples_never_exceed_the_exact_violations(self, case, c, s, seed):
+        # the sampled sums of tests/oracles.py, on samples of unit s-norm
+        fac = case[0]
+        m = fac.model
+        rep = check_operator_conditions(fac, c)
+        rng = np.random.default_rng(seed)
+        unit = lambda x: (1.0 / norm_s(x, s)) * x  # noqa: E731
+        samples = [unit(from_coeffs(m, rng.standard_normal(m.n_modes))) for _ in range(8)]
+        sampled = oracles.condition_violations(fac, samples, c, s)[:3]
+        assert all(v <= e + 1e-12 for v, e in zip(sampled, violations(rep)))
+        # a unit mode reads its own term
+        for j, term in enumerate(exact_condition_terms(fac, c)[0]):
+            got = oracles.condition_violations(fac, [unit(unit_mode(m, j + 1))], c, s)[:3]
+            assert all(abs(Fraction(g) - t) <= 1e-12 for g, t in zip(got, term))
+
+    def test_sample_validation(self):
+        fac = build_factors(elliptic_unit())
+        for c in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="c must be positive"):
+                check_operator_conditions(fac, c)
+        # samples and a norm index cannot change a supremum: no such arguments
+        with pytest.raises(TypeError):
+            check_operator_conditions(fac, [unit_mode(fac.model, 1)], 1.0)
+        with pytest.raises(TypeError):
+            check_operator_conditions(fac, 1.0, scale=0.0)
+
+
 class TestFixedPointKernel:
     """The fixed point and the cutoff fixed point are one quotient with one
     refusal rule, bit for bit against a per-mode reference."""
@@ -941,8 +942,25 @@ class TestNormOverflow:
             sched = IterationSchedule(checkpoints=(1, 5))
             for run in (report_closed_form, iterate_stepwise):
                 assert [r.k for r in run(fac, zeros(m), sched).records] == [1, 5]
-            report = check_operator_conditions(fac, [unit_mode(m, 1)], 1.0)
+            report = check_operator_conditions(fac, 1.0)
         assert report.nonexpansive and report.condition1_holds
+
+    @pytest.mark.parametrize("run", [report_closed_form, iterate_stepwise])
+    def test_zero_difference_under_an_infinite_weight(self, run):
+        # at s = 1 the weight of lambda = 1e200 is inf; that mode never
+        # moves, so its terms are zero, not inf * 0 = NaN
+        m = make_custom_spectrum([1.0, 1e200])
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=from_coeffs(m, [1.0, 0.0])))
+        mode = "stepwise" if run is iterate_stepwise else "closed_form"
+        sched = IterationSchedule(checkpoints=(1, 5), mode=mode, stop=StoppingRule(5, scale=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run(fac, zeros(m), sched).records
+        one = make_custom_spectrum([1.0])
+        fac1 = build_factors(Elliptic(T=1.0, f=zeros(one), g=from_coeffs(one, [1.0])))
+        want = run(fac1, zeros(one), sched).records
+        for a, b in zip(records, want):
+            assert (a.k, a.successive_diff, a.residual) == (b.k, b.successive_diff, b.residual)
 
     @pytest.mark.parametrize("mode", ["stepwise", "closed_form"])
     @pytest.mark.parametrize("with_reference", [False, True])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,24 @@ class TestParabolicTraces:
             parabolic_trajectory_from_terminal(p)(np.array([0.0, 0.5]))
         assert err.value.mode_indices == (1,)
 
+    def test_forward_at_time_zero_is_u0_past_square_overflow(self):
+        # lambda^2 = inf times t = 0 is no decay at all, not NaN
+        u0 = from_coeffs(make_custom_spectrum([8e307]), [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parabolic_solution_at(u0, 0.0).coeffs.tolist() == [1.0]
+
+    def test_terminal_time_reads_the_datum_past_square_overflow(self):
+        # u(T) = f = 1; only du/dt = -lambda^2 f overflows, and is named
+        m = make_custom_spectrum([8e307])
+        traj = parabolic_trajectory_from_terminal(Parabolic(T=1.0, f=from_coeffs(m, [1.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModeOverflowError, match="backward heat time derivative"):
+                traj(np.array([1.0]))
+        u, du = kp._parabolic(Parabolic(T=1.0, f=from_coeffs(m, [1.0])), np.array([1.0]))
+        assert u.tolist() == [[1.0]] and du.tolist() == [[-math.inf]]
+
 
 class TestBoundedRefusals:
     def test_overflow_message_at_2048_modes(self):
@@ -322,6 +341,20 @@ class TestIllPosednessDemo:
         rec = illposedness_demo("parabolic", m, 1.0, 2)
         assert rec.overflow
         assert rec.solution_norm == math.inf
+
+    @pytest.mark.parametrize("kind", ["elliptic", "hyperbolic", "parabolic"])
+    def test_zero_datum_mode_past_square_overflow(self, kind):
+        # mode 2 has lambda^2 = inf and no datum: its terms are zero, not
+        # inf * 0 = NaN, and it never trips the guard
+        m = make_custom_spectrum([1.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = illposedness_demo(kind, m, 0.5, 1)
+        assert not rec.overflow and math.isfinite(rec.solution_norm)
+        alone = illposedness_demo(kind, make_custom_spectrum([1.0]), 0.5, 1)
+        assert rec.solution_norm == alone.solution_norm
+        if kind == "parabolic":
+            assert rec.solution_norm == pytest.approx(1.4656, rel=1e-4)
 
     def test_unknown_kind_rejected(self):
         m = sine_model()

@@ -231,6 +231,16 @@ class TestScaleNorm:
         assume(math.isfinite(want) and (want >= 2.0**-511 or not weighted.any()))
         assert repr(norm_s(from_coeffs(m, c), s)) == repr(want)
 
+    def test_zero_coefficient_under_an_infinite_weight(self):
+        # (1 + lambda^2)^(s/2) is inf at lambda = 1e200 for s > 0; a zero
+        # coefficient there is a zero term, a nonzero one still gives inf
+        m = make_custom_spectrum([1.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm_s(from_coeffs(m, [1.0, 0.0]), 1.0) == math.sqrt(2.0)
+            assert norm_s(from_coeffs(m, [1.0, 0.0]), 0.5) == 2.0**0.25
+            assert norm_s(from_coeffs(m, [1.0, 1e-300]), 0.5) == math.inf
+
     def test_index_one(self):
         m = make_custom_spectrum([math.pi])
         assert norm_s(from_coeffs(m, [1.0]), 1.0) == pytest.approx(
