@@ -676,7 +676,7 @@ def model_to_dict(model: SpectrumModel) -> dict:
     return {
         "basis": _basis_to_dict(model.basis),
         "eigenvalues": model.eigenvalues.tolist(),
-        "mode_index_map": list(map(list, model.mode_index_map)),
+        "mode_index_map": model.mode_index_map.tolist(),
     }
 
 

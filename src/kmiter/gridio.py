@@ -252,9 +252,7 @@ def _default_points(axes: tuple[tuple[float, int], ...]) -> int:
 
 def _mode_positions(model: SpectrumModel) -> tuple[np.ndarray, ...]:
     """Position of each mode's coefficient in the (nx[, ny]) table."""
-    if isinstance(model.basis, Sine1D):
-        return (np.arange(model.n_modes),)  # j = 1..n in order; reading the map is slow
-    return tuple(np.asarray(model.mode_index_map).T - 1)
+    return tuple(model.mode_index_map.T - 1)
 
 
 def _dst_analysis(v: np.ndarray, n: int) -> np.ndarray:

@@ -222,13 +222,6 @@ def _safe_complement(comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(degenerate, 1.0, comp), degenerate
 
 
-def _divisor(fac: IterationFactors) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """:func:`_safe_complement` of the factors, the mask None when no mode
-    is degenerate."""
-    safe, degenerate = _safe_complement(fac.complements)
-    return safe, (degenerate if degenerate.any() else None)
-
-
 # ---------------------------------------------------------------------------
 # fixed point and iterates
 
@@ -277,18 +270,17 @@ def iterate_closed_form(fac: IterationFactors, phi0: SpectralVec, k: int) -> Spe
         raise ConfigError(f"step count must be non-negative, got {k}")
     if k == 0:
         return SpectralVec(phi0.coeffs.copy(), fac.model)
-    _, phi = _iterate(fac, phi0, k, _log_factor(fac), _divisor(fac))
+    _, phi = _iterate(fac, phi0, k, _log_factor(fac), _safe_complement(fac.complements))
     return SpectralVec(phi, fac.model)
 
 
 def _iterate(fac, phi0, k, log_factor, divisor) -> tuple[np.ndarray, np.ndarray]:
     """(F^k, phi_k) for k >= 1 from the per-report :func:`_log_factor` and
-    :func:`_divisor`, at O(N) cost and memory."""
+    :func:`_safe_complement`, at O(N) cost and memory."""
     Fk, omFk = _power(*log_factor, k)
     safe, degenerate = divisor
     geom = np.divide(omFk, safe, out=omFk)
-    if degenerate is not None:
-        np.copyto(geom, float(k), where=degenerate)
+    np.copyto(geom, float(k), where=degenerate)
     phi = Fk * phi0.coeffs
     phi += np.multiply(geom, fac.z.coeffs, out=geom)
     return Fk, phi
@@ -394,7 +386,7 @@ def _scale_norm(model: SpectrumModel, s: float):
     if s == 0.0:
         return _l2, None
     weights = scale_weights(model, 0.5 * s)
-    weigh = _weigher(weights)
+    weigh = np.errstate(over="ignore")(_weigher(weights))  # a product past the float max is inf
     return (lambda v: _l2(weigh(v, out=v))), weights
 
 
@@ -515,7 +507,7 @@ def report_closed_form(
     s = stop.scale if stop.scale is not None else default_scale(fac.kind)
     w = fac.z.coeffs - fac.complements * phi0.coeffs  # first-step displacement
     tol = stop.successive_diff_tol
-    log_factor, divisor = _log_factor(fac), _divisor(fac)
+    log_factor, divisor = _log_factor(fac), _safe_complement(fac.complements)
     norm, error = _scale_norm(fac.model, s)[0], _error_vs(reference)
 
     def diff_at(k):  # ||phi_k - phi_(k-1)||, one row of O(N) work

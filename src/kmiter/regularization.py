@@ -180,11 +180,13 @@ class SourceCondition:
 
 @dataclasses.dataclass(frozen=True)
 class RegularizerPlan:
-    """Cutoff threshold, propagated data error, and the source condition.
+    """Propagated data error and the source condition, plus a cutoff ``n``.
 
     ``eps_prime`` bounds the scale-s norm of the error on the affine term z
     (measure it with :func:`measure_eps_prime` when both clean and noisy
-    factors are available).
+    factors are available).  ``n`` must be positive, but nothing reads it:
+    the curve and the selection take their cutoffs from the candidate grid,
+    and :func:`regularized_fixed_point` takes its own.
     """
 
     n: float

@@ -103,16 +103,16 @@ class SpectrumModel:
         Strictly positive eigenvalues in ascending order (read-only).
     basis : Sine1D | SineRect2D | CustomBasis
         What the eigenfunctions are, if anything is known about them.
-    mode_index_map : tuple of tuple of int
+    mode_index_map : ndarray
         For each position in ``eigenvalues``, the originating multi-index
-        (``(j,)`` in one dimension, ``(j, k)`` on a rectangle).  Given as
-        any (modes x d) table of integers, such as an int array; stored as
-        a tuple of tuples of Python ints.
+        (row ``[j]`` in one dimension, ``[j, k]`` on a rectangle).  Given as
+        any (modes x d) table of integers; stored as a read-only (modes x d)
+        int64 array, with no Python object per mode.
     """
 
     eigenvalues: np.ndarray
     basis: BasisDescriptor
-    mode_index_map: tuple[tuple[int, ...], ...]
+    mode_index_map: np.ndarray
 
     def __post_init__(self):
         lam = _readonly(np.atleast_1d(self.eigenvalues))
@@ -129,12 +129,13 @@ class SpectrumModel:
             raise ConfigError("eigenvalues must be sorted in ascending order")
         object.__setattr__(self, "eigenvalues", lam)
         try:
-            idx = np.asarray(self.mode_index_map, dtype=np.int64)
+            idx = np.array(self.mode_index_map, dtype=np.int64)  # copied, not frozen in place
         except (TypeError, ValueError, OverflowError):
             raise ConfigError("mode_index_map must be a table of integer multi-indices") from None
         if idx.ndim != 2 or idx.shape[0] != lam.size or idx.shape[1] == 0:
             raise ConfigError("mode_index_map must have one entry per eigenvalue")
-        object.__setattr__(self, "mode_index_map", tuple(zip(*idx.T.tolist())))
+        idx.setflags(write=False)
+        object.__setattr__(self, "mode_index_map", idx)
 
     @property
     def n_modes(self) -> int:
@@ -151,12 +152,13 @@ class SpectrumModel:
             return NotImplemented
         return (
             self.basis == other.basis
-            and self.mode_index_map == other.mode_index_map
+            and np.array_equal(self.mode_index_map, other.mode_index_map)
             and np.array_equal(self.eigenvalues, other.eigenvalues)
         )
 
     def __hash__(self):
-        return hash((self.basis, self.mode_index_map, self.eigenvalues.tobytes()))
+        # safe: both arrays are made read-only in __post_init__
+        return hash((self.basis, self.mode_index_map.tobytes(), self.eigenvalues.tobytes()))
 
     def __repr__(self):
         lam = self.eigenvalues

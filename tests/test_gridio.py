@@ -262,7 +262,7 @@ class TestIngest:
         gf = make_grid_function((x, x), np.outer(sx, sy))
         v = ingest_grid(gf, m)
         want = np.zeros(9)
-        want[m.mode_index_map.index((2, 1))] = 1.0
+        want[m.mode_index_map.tolist().index([2, 1])] = 1.0
         assert np.max(np.abs(v.coeffs - want)) < 1e-3
 
     def test_dimension_mismatch(self):

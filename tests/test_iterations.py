@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import kmiter.iterations
 from kmiter.errors import ConfigError, DegenerateComplementError, ModeOverflowError, ResonanceError
@@ -620,6 +620,14 @@ def violations(rep):
     return rep.condition1_violation, rep.condition2_violation, rep.nonexpansive_violation
 
 
+def subnormal_complement_case():
+    """Elliptic T = 360 on the one eigenvalue 1: F = 1.0 and the complement
+    sech^2(360) = 8.12892320967e-313 is subnormal, so every condition term
+    rounds to the absolute 2^-1074 grid."""
+    m = make_custom_spectrum([1.0])
+    return build_factors(Elliptic(T=360.0, f=zeros(m), g=zeros(m))), zeros(m), None
+
+
 class TestOperatorConditions:
     """T = F(A) is diagonal, so each check's supremum over unit vectors is
     its largest per-mode term: comp ((1 - c) - (1 + c) F) for condition (1),
@@ -671,12 +679,31 @@ class TestOperatorConditions:
         assert rep.worst_mode == 1
 
     @given(factor_cases(), st.floats(1e-3, 1e3))
+    @example(subnormal_complement_case(), 0.5625)
+    @example(subnormal_complement_case(), 40.0)
     @settings(max_examples=200, deadline=None)
     def test_violations_are_the_exact_per_mode_maxima(self, case, c):
+        """Each violation is within rounding of the exact maximum.
+
+        Every float operation gives x (1 + d) + e with |d| <= u = 2^-53 and
+        |e| <= 2^-1075, e nonzero only for a subnormal product or quotient
+        (sums are exact there).  The check takes b = comp (r - F) with
+        r = (1 - c)/(1 + c), then t1 = b (1 + c) and t2 = b h with
+        h = (1 + 1/c)/2.  The d terms add up to a few u times
+        comp (|r| + |F|) (1 + c), which is ``size``, and at most
+        2u size / c for t2; with c >= 1e-3 that is below 1e-12 size.  The e
+        of b is carried by the factor (1 + c) or h, and the last product
+        adds its own: ((1 + c)(1 + 2u) + 1) 2^-1075 <= (1 + c) 2^-1074 for
+        t1, and (1 + h) 2^-1074 for t2.  The slack is the sum of both parts,
+        taken in exact rationals so that it does not underflow.  |F| - 1 is
+        one subtraction of two floats, off by at most u.
+        """
         fac = case[0]
         terms, size = exact_condition_terms(fac, c)
         rep = check_operator_conditions(fac, c)
-        for k, (got, slack) in enumerate(zip(violations(rep), (1e-12 * size, 1e-12 * size, 1e-15))):
+        rel, grid, cq = Fraction(1e-12) * size, Fraction(2) ** -1074, Fraction(c)
+        slacks = (rel + (1 + cq) * grid, rel + (1 + (1 + 1 / cq) / 2) * grid, Fraction(1e-15))
+        for k, (got, slack) in enumerate(zip(violations(rep), slacks)):
             assert abs(Fraction(got) - max(t[k] for t in terms)) <= slack
         assert rep.max_violation == max(violations(rep))
         largest = max(max(t) for t in terms)
@@ -981,3 +1008,18 @@ class TestNormOverflow:
             assert a.successive_diff == math.ldexp(b.successive_diff, 600)
             assert a.residual == math.ldexp(b.residual, 600)
             assert a.error_vs_reference == b.error_vs_reference
+
+    @pytest.mark.parametrize("mode", ["stepwise", "closed_form"])
+    def test_weighted_difference_past_the_float_max(self, mode):
+        # at s = 1 the weight of mode j is sqrt(1 + (j pi)^2), so a
+        # difference near 1e307 weighs past the float max: the norm is inf
+        # and no overflow warning leaks
+        m = make_sine_spectrum_1d(64, 1.0)
+        fac = build_factors(Elliptic(T=0.01, f=zeros(m), g=from_coeffs(m, np.full(64, 1e307))))
+        sched = IterationSchedule(checkpoints=(1, 2), mode=mode, stop=StoppingRule(2, scale=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_schedule(fac, zeros(m), sched).records
+        assert [(r.k, r.successive_diff, r.residual) for r in records] == [
+            (1, math.inf, math.inf), (2, math.inf, math.inf)
+        ]

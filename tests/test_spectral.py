@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ class TestSineSpectrum1D:
             m.eigenvalues, [math.pi, 2 * math.pi, 3 * math.pi], rtol=1e-15
         )
         assert m.basis == Sine1D(length=1.0)
-        assert m.mode_index_map == ((1,), (2,), (3,))
+        np.testing.assert_array_equal(m.mode_index_map, [[1], [2], [3]])
 
     def test_length_two(self):
         m = make_sine_spectrum_1d(1, 2.0)
@@ -60,7 +61,7 @@ class TestSineSpectrumRect:
     def test_single_mode(self):
         m = make_sine_spectrum_rect(1, 1, 1.0, 1.0)
         np.testing.assert_allclose(m.eigenvalues, [oracles.PI_SQRT2], rtol=1e-15)
-        assert m.mode_index_map == ((1, 1),)
+        np.testing.assert_array_equal(m.mode_index_map, [[1, 1]])
         assert m.basis == SineRect2D(lx=1.0, ly=1.0, nx=1, ny=1)
 
     def test_two_by_one(self):
@@ -68,7 +69,7 @@ class TestSineSpectrumRect:
         np.testing.assert_allclose(
             m.eigenvalues, [oracles.PI_SQRT2, oracles.PI_SQRT5], rtol=1e-15
         )
-        assert m.mode_index_map == ((1, 1), (2, 1))
+        np.testing.assert_array_equal(m.mode_index_map, [[1, 1], [2, 1]])
 
     def test_two_by_two(self):
         m = make_sine_spectrum_rect(2, 2, 1.0, 1.0)
@@ -80,8 +81,8 @@ class TestSineSpectrumRect:
     def test_tie_break_is_lexicographic(self):
         # On a square the (1,2) and (2,1) eigenvalues coincide exactly.
         m = make_sine_spectrum_rect(2, 2, 1.0, 1.0)
-        assert m.mode_index_map[1] == (1, 2)
-        assert m.mode_index_map[2] == (2, 1)
+        assert m.mode_index_map[1].tolist() == [1, 2]
+        assert m.mode_index_map[2].tolist() == [2, 1]
 
 
 class TestModeIndexMap:
@@ -93,12 +94,24 @@ class TestModeIndexMap:
         "table",
         [((1, 2), (3, 4)), [[1, 2], [3, 4]], np.array([[1, 2], [3, 4]]), [[1.0, 2], ["3", 4]]],
     )
-    def test_stored_as_tuples_of_python_ints(self, table):
+    def test_stored_as_a_read_only_int64_array(self, table):
         m = self.model(table)
-        assert m.mode_index_map == ((1, 2), (3, 4))
-        assert hash(m.mode_index_map) == hash(((1, 2), (3, 4)))
-        assert {type(i) for t in m.mode_index_map for i in t} == {int}
-        assert {type(t) for t in m.mode_index_map} == {tuple}
+        idx = m.mode_index_map
+        assert isinstance(idx, np.ndarray) and idx.dtype == np.int64
+        assert idx.tolist() == [[1, 2], [3, 4]]
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 5
+        other = self.model([[1, 2], [3, 4]])
+        assert m == other and hash(m) == hash(other)
+
+    def test_kept_apart_from_the_callers_array(self):
+        table = np.array([[1, 2], [3, 4]])
+        m = self.model(table)
+        table[0, 0] = 7
+        assert table.flags.writeable
+        assert m.mode_index_map.tolist() == [[1, 2], [3, 4]]
+        assert m != self.model(table)
 
     @pytest.mark.parametrize(
         "table", [((1,), (2, 3)), (1, 2), ((1,),), (("a",), (2,)), ((), ()), ((2**70,), (1,))]
@@ -108,9 +121,9 @@ class TestModeIndexMap:
             self.model(table)
 
     def test_builders_match_the_python_loops(self):
-        assert make_sine_spectrum_1d(300, 1.0).mode_index_map == tuple((j,) for j in range(1, 301))
+        assert make_sine_spectrum_1d(300, 1.0).mode_index_map.tolist() == [[j] for j in range(1, 301)]
         rect = make_sine_spectrum_rect(4, 3, 1.0, 2.0)
-        assert sorted(rect.mode_index_map) == [(j, k) for j in range(1, 5) for k in range(1, 4)]
+        assert sorted(rect.mode_index_map.tolist()) == [[j, k] for j in range(1, 5) for k in range(1, 4)]
 
 
 class TestCustomSpectrum:
@@ -118,7 +131,7 @@ class TestCustomSpectrum:
         m = make_custom_spectrum([1.0, 2.5, 7.0])
         np.testing.assert_array_equal(m.eigenvalues, [1.0, 2.5, 7.0])
         assert m.basis == CustomBasis()
-        assert m.mode_index_map == ((1,), (2,), (3,))
+        np.testing.assert_array_equal(m.mode_index_map, [[1], [2], [3]])
 
     def test_rejects_unsorted(self):
         with pytest.raises(ConfigError):
@@ -140,6 +153,19 @@ class TestModelSemantics:
         m = make_sine_spectrum_1d(3, 1.0)
         with pytest.raises(ValueError):
             m.eigenvalues[0] = 5.0
+
+    def test_per_mode_memory_is_two_arrays(self):
+        # eigenvalues and mode map are 0.5 MB each at 65536 modes; a Python
+        # object per mode would retain several times that
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = make_sine_spectrum_1d(65536, 1.0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert m.n_modes == 65536
+        assert retained < 1.5 * 2**20
 
     def test_value_equality_and_hash(self):
         a = make_sine_spectrum_1d(3, 1.0)
