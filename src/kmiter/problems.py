@@ -36,7 +36,9 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ConfigError, ModeOverflowError, ResonanceError, describe_modes
-from .spectral import SpectralVec, SpectrumModel, _weigher, norm_s, scale_weights, unit_mode
+from .spectral import (
+    SpectralVec, SpectrumModel, _weigher, make_custom_spectrum, norm_s, scale_weights, unit_mode,
+)
 
 __all__ = [
     "RESONANCE_TOL",
@@ -429,6 +431,12 @@ def illposedness_demo(kind: str, model: SpectrumModel, T: float, k: int) -> IllP
     displacement datum, 0 for the parabolic terminal state), so
     ``data_norm == 1`` for every k; ``solution_norm`` grows without bound as
     k increases, which is the whole point of the demonstration.
+
+    The modes decouple, so the row is the one-mode problem of mode k: the
+    others would only add exact zeros.  A call costs O(quadrature points)
+    whatever the size of ``model``, and a table of all N rows O(N).  A
+    hyperbolic row raises :class:`~kmiter.errors.ResonanceError` only when
+    mode k itself is resonant, naming position k - 1 of ``model``.
     """
     if kind not in ("elliptic", "hyperbolic", "parabolic"):
         raise ConfigError(f"unknown problem kind {kind!r}")
@@ -438,14 +446,23 @@ def illposedness_demo(kind: str, model: SpectrumModel, T: float, k: int) -> IllP
     T = _require_T(T)
 
     data_scale = {"elliptic": -0.5, "hyperbolic": 1.0, "parabolic": 0.0}[kind]
-    e_k = unit_mode(model, k)
+    e_k = unit_mode(make_custom_spectrum(model.eigenvalues[k - 1 : k]), 1)
     data = (1.0 / norm_s(e_k, data_scale)) * e_k
     zero = 0.0 * e_k
 
     if kind == "elliptic":
         prob, traj, which = Elliptic(T=T, f=zero, g=data), elliptic_trajectory, "Ve"
     elif kind == "hyperbolic":
-        prob, traj, which = Hyperbolic(T=T, f=zero, g=data), hyperbolic_trajectory, "Vh"
+        try:
+            prob = Hyperbolic(T=T, f=zero, g=data)
+        except ResonanceError:  # named as mode k of ``model``, not of the one-mode model
+            raise ResonanceError(
+                f"|sin(lambda T)| <= {RESONANCE_TOL:g} at "
+                f"{describe_modes([k - 1], model.eigenvalues)}; the problem is "
+                "posed too close to a resonant time",
+                mode_indices=(k - 1,),
+            ) from None
+        traj, which = hyperbolic_trajectory, "Vh"
     else:
         prob, traj, which = Parabolic(T=T, f=data), parabolic_trajectory_from_terminal, "Vp"
     try:

@@ -260,10 +260,12 @@ def source_constant(phibar: SpectralVec, G: Callable[[float], float], s: float) 
     G evaluated at the eigenvalues by :func:`_source_weights`."""
     g = _source_weights(G, phibar.model.eigenvalues)
     w = scale_weights(phibar.model, s)
-    v = g * phibar.coeffs
-    # the square overflows from |v| ~ 1.3e154 on; a power-of-two scale is exact
-    e = int(np.frexp(np.max(np.abs(v)))[1])
-    return float(np.ldexp(np.sqrt(np.sum(w * np.ldexp(v, -e) ** 2)), e))
+    # a G phibar past the float max makes M inf or NaN, which SourceCondition refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = g * phibar.coeffs
+        # the square overflows from |v| ~ 1.3e154 on; a power-of-two scale is exact
+        e = int(np.frexp(np.max(np.abs(v)))[1])
+        return float(np.ldexp(np.sqrt(np.sum(w * np.ldexp(v, -e) ** 2)), e))
 
 
 def measure_eps_prime(fac_clean: IterationFactors, fac_noisy: IterationFactors, s: float) -> float:

@@ -107,7 +107,9 @@ class SpectrumModel:
         For each position in ``eigenvalues``, the originating multi-index
         (row ``[j]`` in one dimension, ``[j, k]`` on a rectangle).  Given as
         any (modes x d) table of integers; stored as a read-only (modes x d)
-        int64 array, with no Python object per mode.
+        int64 array, with no Python object per mode.  Over a sine basis each
+        row must index its table: 1..n_modes (``Sine1D``), or 1..nx and
+        1..ny (``SineRect2D``).
     """
 
     eigenvalues: np.ndarray
@@ -129,11 +131,37 @@ class SpectrumModel:
             raise ConfigError("eigenvalues must be sorted in ascending order")
         object.__setattr__(self, "eigenvalues", lam)
         try:
-            idx = np.array(self.mode_index_map, dtype=np.int64)  # copied, not frozen in place
+            # a float array's NaN or out-of-range entry casts silently; the check below refuses it
+            with np.errstate(invalid="ignore"):
+                idx = np.array(self.mode_index_map, dtype=np.int64)  # copied, not frozen in place
+            values = np.array(self.mode_index_map, dtype=float)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError("mode_index_map must be a table of integer multi-indices") from None
         if idx.ndim != 2 or idx.shape[0] != lam.size or idx.shape[1] == 0:
             raise ConfigError("mode_index_map must have one entry per eigenvalue")
+        fractional = (idx != values).any(axis=1)
+        if fractional.any():
+            bad = int(np.argmax(fractional))
+            raise ConfigError(
+                f"mode_index_map must be a table of integer multi-indices; mode position "
+                f"{bad} is {values[bad].tolist()}"
+            )
+        if isinstance(self.basis, (Sine1D, SineRect2D)):
+            # gridio reads each mode's coefficient off the (nx[, ny]) table at these indices
+            top = [lam.size] if isinstance(self.basis, Sine1D) else [self.basis.nx, self.basis.ny]
+            name = type(self.basis).__name__
+            if idx.shape[1] != len(top):
+                raise ConfigError(
+                    f"a {name} mode_index_map has {len(top)} column(s); mode position 0 "
+                    f"has {idx.shape[1]}"
+                )
+            outside = ((idx < 1) | (idx > top)).any(axis=1)
+            if outside.any():
+                bad = int(np.argmax(outside))
+                raise ConfigError(
+                    f"mode_index_map entry {idx[bad].tolist()} at mode position {bad} is "
+                    f"outside the {name} table {' x '.join(f'1..{n}' for n in top)}"
+                )
         idx.setflags(write=False)
         object.__setattr__(self, "mode_index_map", idx)
 

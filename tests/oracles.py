@@ -11,10 +11,14 @@ The functions at the end are the row-by-row grid CSV reader and writer that
 built as one frozen dataclass per candidate, which
 :func:`kmiter.regularization.error_bound_curve` replaced with one pass over
 its columns; tests require the library to accept, refuse and return exactly
-what they do.  Last comes the sampled operator-condition check that
+what they do.  Then comes the sampled operator-condition check that
 :func:`kmiter.iterations.check_operator_conditions` replaced with its exact
 per-mode one: on samples of unit norm in the scale norm, no sampled
 violation may exceed the exact one, and a unit mode reads its own term.
+Last is the ill-posedness row on the whole model, unit data in mode k
+beside N - 1 zero modes, which :func:`kmiter.problems.illposedness_demo`
+replaced with the one-mode problem of mode k; its records must match bit
+for bit.
 """
 
 import csv
@@ -24,10 +28,21 @@ from typing import Optional
 
 import numpy as np
 
-from kmiter.errors import ConfigError
+from kmiter.errors import ConfigError, ModeOverflowError
 from kmiter.gridio import make_grid_function
+from kmiter.problems import (
+    Elliptic,
+    Hyperbolic,
+    IllPosednessRecord,
+    Parabolic,
+    TrajectoryNormSpec,
+    elliptic_trajectory,
+    hyperbolic_trajectory,
+    parabolic_trajectory_from_terminal,
+    trajectory_norm,
+)
 from kmiter.regularization import _bound_arrays
-from kmiter.spectral import scale_weights
+from kmiter.spectral import norm_s, scale_weights, unit_mode
 
 FIVE_PI = 15.7079632679489661923  # 5*pi
 HALF_PI = 1.57079632679489661923  # pi/2
@@ -194,3 +209,25 @@ def condition_violations(fac, sample_vectors, c, scale):
         if here > worst_val:
             worst_val, worst = here, i
     return v1, v2, vn, worst
+
+
+# ---------------------------------------------------------------------------
+# the ill-posedness row, unit data in mode k of the whole model
+
+
+def illposedness_row_on_whole_model(kind, model, T, k):
+    data_scale = {"elliptic": -0.5, "hyperbolic": 1.0, "parabolic": 0.0}[kind]
+    e_k = unit_mode(model, k)
+    data = (1.0 / norm_s(e_k, data_scale)) * e_k
+    zero = 0.0 * e_k
+    if kind == "elliptic":
+        prob, traj, which = Elliptic(T=T, f=zero, g=data), elliptic_trajectory, "Ve"
+    elif kind == "hyperbolic":
+        prob, traj, which = Hyperbolic(T=T, f=zero, g=data), hyperbolic_trajectory, "Vh"
+    else:
+        prob, traj, which = Parabolic(T=T, f=data), parabolic_trajectory_from_terminal, "Vp"
+    try:
+        sol = trajectory_norm(prob, traj(prob), TrajectoryNormSpec(which=which))
+    except ModeOverflowError:
+        return IllPosednessRecord(kind, k, 1.0, math.inf, True)
+    return IllPosednessRecord(kind, k, 1.0, float(sol), not math.isfinite(sol))

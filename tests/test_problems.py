@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -355,6 +356,48 @@ class TestIllPosednessDemo:
         assert rec.solution_norm == alone.solution_norm
         if kind == "parabolic":
             assert rec.solution_norm == pytest.approx(1.4656, rel=1e-4)
+
+    @staticmethod
+    def bits(rec):
+        return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(rec)]
+
+    @pytest.mark.parametrize("kind", ["elliptic", "hyperbolic", "parabolic"])
+    @pytest.mark.parametrize("n, ks", [(64, range(1, 65)), (512, (1, 2, 256, 511, 512))])
+    def test_rows_match_the_whole_model_bitwise(self, kind, n, ks):
+        # the other modes only add exact zeros; T as in `kmiter demo-illposed`
+        m = sine_model(n)
+        T = 1.0 / math.pi if kind == "hyperbolic" else 1.0
+        recs = [illposedness_demo(kind, m, T, k) for k in ks]
+        want = [oracles.illposedness_row_on_whole_model(kind, m, T, k) for k in ks]
+        assert [self.bits(r) for r in recs] == [self.bits(r) for r in want]
+        if kind == "parabolic":
+            assert any(r.overflow for r in recs) and not all(r.overflow for r in recs)
+
+    @pytest.mark.parametrize("kind", ["elliptic", "hyperbolic", "parabolic"])
+    def test_each_row_is_a_one_mode_problem(self, monkeypatch, kind):
+        seen = []
+
+        def recording(spec, traj, tn):
+            seen.append(spec.model.n_modes)
+            return trajectory_norm(spec, traj, tn)
+
+        monkeypatch.setattr(kp, "trajectory_norm", recording)
+        m = sine_model(40)
+        for k in (1, 17, 40):
+            illposedness_demo(kind, m, 1.0 / math.pi, k)
+        assert seen == [1, 1, 1]
+
+    def test_only_a_resonant_mode_refuses_its_row(self):
+        # sin(pi * 1) is below the resonance tolerance; sin(1) and sin(5) are not
+        m = make_custom_spectrum([1.0, math.pi, 5.0])
+        for k in (1, 3):
+            rec = illposedness_demo("hyperbolic", m, 1.0, k)
+            assert rec.mode_index == k and math.isfinite(rec.solution_norm)
+        with pytest.raises(ResonanceError) as err:
+            illposedness_demo("hyperbolic", m, 1.0, 2)
+        assert err.value.mode_indices == (1,)
+        assert describe_modes([1], m.eigenvalues) in str(err.value)
+        assert "mode positions [0]" not in str(err.value)
 
     def test_unknown_kind_rejected(self):
         m = sine_model()

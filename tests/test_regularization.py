@@ -477,6 +477,18 @@ class TestSourceHelpers:
         expected = 1e200 * math.sqrt(float(np.sum(w * (g * phibar.coeffs / 1e200) ** 2)))
         assert source_constant(phibar, G, -0.5) == pytest.approx(expected, rel=1e-14)
 
+    def test_source_constant_past_float_max_is_silent_and_refused(self):
+        # G phibar = 1e10 * 1e307 overflows: M reads inf with no warning, and
+        # the source condition refuses it
+        m = make_custom_spectrum([1.0, 1e10])
+        G = power_source_function(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            M = source_constant(from_coeffs(m, [1.0, 1e307]), G, 0.0)
+        assert not math.isfinite(M)
+        with pytest.raises(ConfigError, match="^M must be a non-negative finite real"):
+            SourceCondition(M=M, G=G, s=0.0)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kmiter.bench import model_from_dict, model_to_dict
 from kmiter.errors import ConfigError, EvaluationError, ModelMismatchError
 from kmiter.spectral import (
     CustomBasis,
@@ -119,6 +120,45 @@ class TestModeIndexMap:
     def test_not_one_integer_row_per_mode(self, table):
         with pytest.raises(ConfigError, match="mode_index_map"):
             self.model(table)
+
+    @pytest.mark.parametrize(
+        "basis, table, message",
+        [
+            (Sine1D(1.0), [[0], [2]], r"\[0\] at mode position 0 is outside the Sine1D table 1\.\.2$"),
+            (Sine1D(1.0), [[1], [3]], r"\[3\] at mode position 1 is outside the Sine1D table 1\.\.2$"),
+            (Sine1D(1.0), [[1], [-2]], r"entry \[-2\] at mode position 1 is outside"),
+            (Sine1D(1.0), [[1.5], [2]], r"integer multi-indices; mode position 0 is \[1\.5\]$"),
+            (Sine1D(1.0), [[1], [2.25]], r"integer multi-indices; mode position 1 is \[2\.25\]$"),
+            (Sine1D(1.0), [[1, 1], [2, 1]], r"^a Sine1D .* 1 column\(s\); mode position 0 has 2$"),
+            (SineRect2D(1.0, 1.0, 2, 1), [[1], [2]], r"^a SineRect2D mode_index_map has 2 column"),
+            (SineRect2D(1.0, 1.0, 1, 2), [[1, 1], [2, 1]], r"\[2, 1\] at mode position 1 .* 1\.\.1 x 1\.\.2$"),
+            (SineRect2D(1.0, 1.0, 1, 2), [[1, 1], [1, 3]], r"entry \[1, 3\] at mode position 1"),
+            (SineRect2D(1.0, 1.0, 2, 1), [[0, 1], [1, 1]], r"entry \[0, 1\] at mode position 0"),
+            (CustomBasis(), [[1], [2.5]], r"integer multi-indices; mode position 1 is \[2\.5\]$"),
+            (CustomBasis(), np.array([[1.0], [np.nan]]), r"integer multi-indices; mode position 1 is \[nan\]$"),
+            (CustomBasis(), np.array([[1e30], [2.0]]), r"integer multi-indices; mode position 0 is \[1e\+30\]$"),
+        ],
+    )
+    def test_refused_where_the_basis_table_cannot_hold_it(self, basis, table, message):
+        # gridio reads coefficients off the (nx[, ny]) table at these indices:
+        # 0 would read the last column, 3 an IndexError, 1.5 the entry at 1
+        with pytest.raises(ConfigError, match=message):
+            SpectrumModel(np.array([math.pi, 2 * math.pi]), basis, mode_index_map=table)
+
+    def test_bad_map_refused_when_read_from_a_report(self):
+        d = model_to_dict(make_sine_spectrum_1d(2, 1.0))
+        d["mode_index_map"] = [[1], [3]]
+        with pytest.raises(ConfigError, match="mode position 1"):
+            model_from_dict(d)
+
+    @pytest.mark.parametrize("table", [[[-5], [99]], [[0, 7], [2**40, -1]], [[1.0], ["3"]]])
+    def test_custom_maps_keep_any_integers(self, table):
+        assert self.model(table).mode_index_map.tolist() == np.array(table, dtype=np.int64).tolist()
+
+    def test_a_full_sine_table_is_accepted(self):
+        table = [[1, 1], [1, 2], [1, 3]]
+        m = SpectrumModel(np.array([1.0, 2.0, 3.0]), SineRect2D(1.0, 1.0, 1, 3), table)
+        assert m.mode_index_map.tolist() == table
 
     def test_builders_match_the_python_loops(self):
         assert make_sine_spectrum_1d(300, 1.0).mode_index_map.tolist() == [[j] for j in range(1, 301)]
