@@ -604,10 +604,11 @@ def render_rows(
     """Render one table of formatted cells as CSV, JSON, or markdown text.
 
     ``columns`` holds one ``(csv name, markdown name, markdown rule)`` triple
-    per column, the rule being ``---:``, ``---`` or ``:---:``.  ``rows`` are
-    sequences of cell strings; ``md_rows``, when given, replaces them in
-    markdown.  Markdown puts ``title`` above the table and ``notes`` below
-    it; CSV appends ``csv_notes`` as extra lines.  JSON prints
+    per column, the rule being ``---:``, ``---`` or ``:---:``.  ``rows`` is
+    an iterable of cell-string sequences, read once and not at all for
+    JSON; ``md_rows``, when given, replaces it in markdown.  Markdown puts
+    ``title`` above the table and ``notes`` below it; CSV appends
+    ``csv_notes`` as extra lines.  JSON prints
     ``payload()``, which is called for that format only.  An unknown format
     raises :class:`ConfigError`.
     """

@@ -33,6 +33,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -162,7 +163,29 @@ def _cmd_table2(args) -> None:
     _deliver(bench.render_table(table, args.format or "markdown"), args.out)
 
 
+# table1 builds an M x M rectangle of modes and samples its profile on a
+# (4M + 1)^2 grid; its peak memory is about 1 KB per mode (0.94-1.13 KB
+# measured from M = 512 to 2048)
+_TABLE1_BYTES_PER_MODE = 1024
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _cmd_table1(args) -> None:
+    if args.modes is not None and args.modes > 0:
+        need = args.modes * args.modes * _TABLE1_BYTES_PER_MODE
+        memory = _physical_memory()
+        if memory is not None and need > memory:
+            raise ConfigError(
+                f"--modes {args.modes} needs about {need} bytes ({args.modes}^2 modes), "
+                f"more than the {memory} bytes of physical memory"
+            )
     table = bench.run_decay_table(**_given(
         nx=args.modes,
         ny=args.modes,
@@ -231,19 +254,27 @@ DEMO_COLUMNS = (
 
 
 def _cmd_demo_illposed(args) -> None:
+    fmt = args.format or "markdown"
     modes = args.modes if args.modes is not None else 8
     T = 1.0 / math.pi if args.kind == "hyperbolic" else 1.0
     model = make_sine_spectrum_1d(modes, 1.0)
-    rows = [illposedness_demo(args.kind, model, T, k) for k in range(1, modes + 1)]
-    lams = [float(model.eigenvalues[r.mode_index - 1]) for r in rows]
-    cells = [
-        [str(r.mode_index), *(f"{x:.6g}" for x in (lam, r.data_norm, r.solution_norm))]
-        for r, lam in zip(rows, lams)
-    ]
+    # one pass builds only the rows the format prints: cells or JSON records
+    rows = (
+        (illposedness_demo(args.kind, model, T, k), lam)
+        for k, lam in enumerate(model.eigenvalues.tolist(), 1)
+    )
+    flags = ("", "yes") if fmt == "markdown" else ("0", "1")
     text = bench.render_rows(
-        args.format or "markdown",
+        fmt,
         DEMO_COLUMNS,
-        [c + [str(int(r.overflow))] for c, r in zip(cells, rows)],
+        (
+            [
+                str(r.mode_index),
+                *(f"{x:.6g}" for x in (lam, r.data_norm, r.solution_norm)),
+                flags[r.overflow],
+            ]
+            for r, lam in rows
+        ),
         lambda: [
             {
                 "mode": r.mode_index,
@@ -252,10 +283,9 @@ def _cmd_demo_illposed(args) -> None:
                 "solution_norm": r.solution_norm,
                 "overflow": r.overflow,
             }
-            for r, lam in zip(rows, lams)
+            for r, lam in rows
         ],
         title=f"Unit data perturbation per mode ({args.kind}, T = {T:.6g})",
-        md_rows=[c + ["yes" if r.overflow else ""] for c, r in zip(cells, rows)],
     )
     _deliver(text, args.out)
 

@@ -1,6 +1,7 @@
 """Command line driver: subcommands, flag precedence, exit codes."""
 
 import argparse
+import inspect
 import json
 import math
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import kmiter.cli
 from kmiter import ConfigError, run_cutoff_study
 from kmiter.cli import (
     COMMANDS,
@@ -588,3 +590,60 @@ class TestEntryPoints:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.startswith("run,100")
+
+
+class TestTable1SizeRefusal:
+    """A table1 size that cannot be allocated is refused before the model is
+    built: exit 2 and one line naming --modes and the bytes it needs."""
+
+    @staticmethod
+    def no_table(monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("the decay table was built")
+
+        monkeypatch.setattr(kmiter.cli.bench, "run_decay_table", refuse)
+
+    def test_unallocatable_size_exits_2_with_one_line(self, capsys, monkeypatch):
+        self.no_table(monkeypatch)
+        code, out, err = run_cli(capsys, "table1", "--modes", "262144")
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1
+        assert "--modes 262144" in err and f"{262144**2 * 1024} bytes" in err
+
+    def test_bound_is_physical_memory(self, capsys, monkeypatch):
+        monkeypatch.setattr(kmiter.cli, "_physical_memory", lambda: 6 * 6 * 1024)
+        assert run_cli(capsys, "table1", "--modes", "6", "--format", "csv")[0] == EXIT_OK
+        self.no_table(monkeypatch)
+        code, _, err = run_cli(capsys, "table1", "--modes", "7")
+        assert code == EXIT_CONFIG and "more than the 36864 bytes" in err
+
+    def test_unknown_memory_is_not_a_refusal(self, capsys, monkeypatch):
+        monkeypatch.setattr(kmiter.cli, "_physical_memory", lambda: None)
+        assert run_cli(capsys, "table1", "--modes", "4", "--format", "csv")[0] == EXIT_OK
+
+
+class TestDemoRowsBuiltOnce:
+    """demo-illposed computes each mode's record once and builds only the
+    rows its format prints: JSON starts no cell row at all."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    def test_one_pass(self, capsys, monkeypatch, fmt):
+        records, cell_rows = [], []
+        demo, render = kmiter.cli.illposedness_demo, kmiter.cli.bench.render_rows
+
+        def counting(*args):
+            records.append(args[-1])
+            return demo(*args)
+
+        def rendering(fmt, columns, rows, *args, **kwargs):
+            cell_rows.append(rows)
+            return render(fmt, columns, rows, *args, **kwargs)
+
+        monkeypatch.setattr(kmiter.cli, "illposedness_demo", counting)
+        monkeypatch.setattr(kmiter.cli.bench, "render_rows", rendering)
+        code, out, _ = run_cli(capsys, "demo-illposed", "--modes", "5", "--format", fmt)
+        monkeypatch.undo()
+        assert code == EXIT_OK and records == [1, 2, 3, 4, 5]
+        (rows,) = cell_rows
+        started = inspect.getgeneratorstate(rows) != inspect.GEN_CREATED
+        assert started == (fmt != "json")

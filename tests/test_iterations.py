@@ -1023,3 +1023,194 @@ class TestNormOverflow:
         assert [(r.k, r.successive_diff, r.residual) for r in records] == [
             (1, math.inf, math.inf), (2, math.inf, math.inf)
         ]
+
+
+class TestAffineTermOverflow:
+    """A z past the float max is refused with its modes, without a numpy
+    warning.  A finite z past 1e300 is kept: see
+    TestNormOverflow::test_weighted_difference_past_the_float_max."""
+
+    @pytest.mark.parametrize(
+        "family, modes",
+        [
+            # lambda_j sin(lambda_j T) passes 1.8e308 / 1e307 from j = 14 on
+            ("hyperbolic", tuple(range(13, 64))),
+            # lambda_j tanh(lambda_j T) sech(lambda_j T) does so from j = 15 on
+            ("elliptic", tuple(range(14, 64))),
+            # gamma f_j = 1.9e308 on every mode
+            ("parabolic", tuple(range(64))),
+        ],
+    )
+    def test_overflowing_z_is_refused_with_its_modes(self, family, modes):
+        m = make_sine_spectrum_1d(64, 1.0)
+        big = from_coeffs(m, np.full(64, 1e307))
+        spec = {
+            "hyperbolic": lambda: Hyperbolic(T=0.01, f=zeros(m), g=big),
+            "elliptic": lambda: Elliptic(T=0.01, f=big, g=zeros(m)),
+            "parabolic": lambda: Parabolic(T=0.01, f=10.0 * big, gamma=1.9),
+        }[family]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModeOverflowError) as info:
+                build_factors(spec)
+        assert info.value.mode_indices == modes
+        assert "affine term z" in str(info.value)
+
+    def test_opposite_overflows_are_refused_not_nan(self):
+        # both hyperbolic terms overflow, with opposite signs, at 45 modes
+        # (inf - inf) and one of them at 15 more
+        m = make_sine_spectrum_1d(64, 1.0)
+        spec = Hyperbolic(
+            T=0.01, f=from_coeffs(m, np.full(64, 1e308)), g=from_coeffs(m, np.full(64, 1e308))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModeOverflowError) as info:
+                build_factors(spec)
+        assert len(info.value.mode_indices) == 60
+
+
+def stepwise_reports_identical(got: IterationReport, want: IterationReport):
+    """Same records bit for bit, NaN and signed zeros included."""
+    assert (got.kind, got.scale, got.final_k, got.termination_reason) == (
+        want.kind, want.scale, want.final_k, want.termination_reason
+    )
+    assert [r.k for r in got.records] == [r.k for r in want.records]
+    for a, b in zip(got.records, want.records):
+        assert a.iterate.coeffs.tobytes() == b.iterate.coeffs.tobytes(), f"iterate at k={a.k}"
+        for name in ("successive_diff", "residual", "error_vs_reference"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x == y or (x != x and y != y), f"{name} at k={a.k}"
+
+
+def spy_sizes(monkeypatch, name):
+    """The size of the first argument of every np.<name> call."""
+    sizes = []
+    ufunc = getattr(np, name)
+
+    def recording(*args, **kwargs):
+        sizes.append(np.size(args[0]))
+        return ufunc(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, recording)
+    return sizes
+
+
+class TestExactShortcuts:
+    """The stepwise runner multiplies only up to the last mode with F != 1,
+    and a power is evaluated only off the arguments where exp is exactly 0;
+    every output keeps its bits."""
+
+    # tanh(lambda)^2 rounds to 1.0 from lambda = 19 on (T = 1)
+    SUFFIX = (0.5, 1.0, 2.0, 30.0, 40.0, 50.0, 60.0, 70.0)
+
+    @staticmethod
+    def unit_run(lam, phi0, budget=60):
+        m = make_custom_spectrum(lam)
+        g = from_coeffs(m, np.linspace(1.0, 2.0, len(lam)))
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=g))
+        sched = IterationSchedule(checkpoints=(1, 7, budget), mode="stepwise")
+        phi0 = from_coeffs(m, phi0)
+        with np.errstate(invalid="ignore"):  # inf - inf in the differences
+            return fac, iterate_stepwise(fac, phi0, sched), ref_stepwise(fac, phi0, sched)
+
+    @pytest.mark.parametrize(
+        "lam, phi0, units",
+        [
+            # a unit suffix holding inf, -inf, NaN and -0.0
+            (SUFFIX, [0.1, -0.2, 0.3, math.inf, -math.inf, math.nan, -0.0, 5.0], 5),
+            # the same suffix with finite values, so that steps are cleared
+            (SUFFIX, [0.1, -0.2, 0.3, 1e300, -1e-300, 0.0, -0.0, 5.0], 5),
+            # F == 1.0 on every mode: the head is empty
+            ((30.0, 40.0, 50.0), [-0.0, 1.0, -2.0], 3),
+            # no unit mode
+            ((0.1, 0.2, 0.3), [-0.0, 1.0, -2.0], 0),
+        ],
+    )
+    def test_stepwise_matches_reference_bitwise(self, lam, phi0, units):
+        fac, got, want = self.unit_run(lam, phi0)
+        assert np.count_nonzero(fac.factors == 1.0) == units
+        assert (fac.factors[len(lam) - units:] == 1.0).all()
+        stepwise_reports_identical(got, want)
+
+    @staticmethod
+    def schedule_factors(family):
+        """The factors of the benchmark's schedule workload: sine spectrum,
+        N = 16384, data of no matter."""
+        m = make_sine_spectrum_1d(16384, 1.0)
+        lam_max = float(m.eigenvalues[-1])
+        one = from_coeffs(m, np.ones(16384))
+        return build_factors({
+            "elliptic": lambda: Elliptic(T=100.0 / lam_max, f=zeros(m), g=one),
+            "hyperbolic": lambda: Hyperbolic(T=1.0 / math.pi, f=one, g=one),
+            "parabolic": lambda: Parabolic(T=600.0 / lam_max**2, f=one, gamma=1.0),
+        }[family]())
+
+    @pytest.mark.parametrize(
+        "family, engaged_from",
+        [("hyperbolic", 1000), ("elliptic", None), ("parabolic", None)],
+    )
+    def test_vanished_powers_skipped_where_most_arguments_are_dead(
+        self, monkeypatch, family, engaged_from
+    ):
+        fac = self.schedule_factors(family)
+        log_factor = kmiter.iterations._log_factor(fac)
+        n = fac.factors.size
+        for k in (10, 100, 1000, 10**4, 10**5, 10**6, 10**9):
+            want = np.exp(k * log_factor[0])
+            sizes = spy_sizes(monkeypatch, "exp")
+            power = kmiter.iterations._factor_power(*log_factor, k)
+            Fk, _ = kmiter.iterations._power(*log_factor, k)
+            monkeypatch.undo()
+            engaged = engaged_from is not None and k >= engaged_from
+            assert all((size < n) == engaged for size in sizes), (k, sizes)
+            assert same_bits(power, want) and same_bits(Fk, want)
+
+    def test_elliptic_cleared_steps_multiply_only_the_head(self, monkeypatch):
+        fac = self.schedule_factors("elliptic")
+        n = fac.factors.size
+        head = int(np.flatnonzero(fac.factors != 1.0)[-1]) + 1
+        assert 0.18 * n < head < 0.2 * n
+        assert (fac.factors[head:] == 1.0).all()
+        sched = IterationSchedule(checkpoints=(10, 100, 200), mode="stepwise")
+        full = spy_sizes(monkeypatch, "subtract")  # one call per step that takes its norm
+        multiplies = spy_sizes(monkeypatch, "multiply")
+        got = iterate_stepwise(fac, zeros(fac.model), sched)
+        monkeypatch.undo()
+        assert set(multiplies) == {head, n}
+        assert multiplies.count(head) == 200 - len(full) >= 190
+        assert_reports_identical(got, ref_stepwise(fac, zeros(fac.model), sched))
+
+
+class TestExp:
+    """kmiter.iterations._exp is np.exp bit for bit on every mix of
+    arguments, on both sides of its gate."""
+
+    @pytest.mark.parametrize("dead_share", [0.0, 0.1, 0.24, 0.25, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bitwise_np_exp(self, monkeypatch, dead_share, seed):
+        rng = np.random.default_rng(seed)
+        n = 4096
+        dead = int(dead_share * n)
+        pools = [
+            np.array([-math.inf, -1e300, -1e6, -800.0, -746.0000001]),  # exp is +0.0
+            np.array([math.nan, -746.0, -745.2, -745.1, -744.5, -720.0, -708.5]),
+            np.array([-700.0, -30.0, -1.0, -1e-300, -0.0, 0.0, 0.5, 700.0]),
+        ]
+        live = n - dead
+        t = np.concatenate([
+            rng.choice(pools[0], dead),
+            rng.choice(pools[1], live // 3),
+            rng.choice(pools[2], live - live // 3),
+        ])
+        t = rng.permutation(t)
+        sizes = spy_sizes(monkeypatch, "exp")
+        got = kmiter.iterations._exp(t)
+        monkeypatch.undo()
+        want = np.exp(t)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got).sum() == np.isnan(t).sum()
+        assert sizes == [n if dead_share < 0.25 else live]
+
+    def test_empty(self):
+        assert kmiter.iterations._exp(np.empty(0)).shape == (0,)
