@@ -20,208 +20,20 @@ Layout:
 * :mod:`kmiter.cli` - the ``kmiter`` command
 """
 
-from .errors import (
-    ConfigError,
-    DegenerateComplementError,
-    EvaluationError,
-    KmiterError,
-    ModelMismatchError,
-    ModeOverflowError,
-    NumericError,
-    ResonanceError,
-)
-from .spectral import (
-    CustomBasis,
-    Sine1D,
-    SineRect2D,
-    SpectralVec,
-    SpectrumModel,
-    apply_spectral_function,
-    axpy,
-    from_coeffs,
-    inner,
-    make_custom_spectrum,
-    make_sine_spectrum_1d,
-    make_sine_spectrum_rect,
-    norm_s,
-    scale_weights,
-    sub,
-    unit_mode,
-    zeros,
-)
-from .problems import (
-    Elliptic,
-    Hyperbolic,
-    IllPosednessRecord,
-    Parabolic,
-    ProblemSpec,
-    TrajectoryNormSpec,
-    elliptic_dt_solution_at,
-    elliptic_solution_at,
-    elliptic_trajectory,
-    hyperbolic_solution_at,
-    hyperbolic_solution_dt0,
-    hyperbolic_trajectory,
-    illposedness_demo,
-    parabolic_backward_trace,
-    parabolic_solution_at,
-    parabolic_trajectory_from_terminal,
-    trajectory_norm,
-)
-from .iterations import (
-    CheckpointRecord,
-    ConditionReport,
-    IterationFactors,
-    IterationReport,
-    IterationSchedule,
-    StoppingRule,
-    build_factors,
-    check_operator_conditions,
-    default_scale,
-    fixed_point,
-    iterate_closed_form,
-    iterate_stepwise,
-    report_closed_form,
-    run_schedule,
-)
-from .regularization import (
-    BoundPoint,
-    CutoffSelection,
-    NoiseSpec,
-    RegularizerPlan,
-    SourceCondition,
-    add_noise,
-    candidate_cutoffs,
-    choose_h,
-    error_bound_curve,
-    measure_eps_prime,
-    power_source_function,
-    regularized_fixed_point,
-    select_n_star,
-    smooth,
-    smoothing_bound,
-    source_constant,
-)
-from .gridio import (
-    GridFunction,
-    ingest_grid,
-    make_grid_function,
-    read_grid_csv,
-    render_grid,
-    synth_data,
-    write_grid_csv,
-)
-from .bench import (
-    ExperimentConfig,
-    ExperimentResult,
-    TableResult,
-    load_config,
-    render_report,
-    render_table,
-    run_convergence_table,
-    run_cutoff_study,
-    run_decay_table,
-    run_experiment,
-)
+from . import bench, errors, gridio, iterations, problems, regularization, spectral
+from .errors import *
+from .spectral import *
+from .problems import *
+from .iterations import *
+from .regularization import *
+from .gridio import *
+from .bench import *
 
 __version__ = "0.1.0"
 
+# Each module's ``__all__`` declares its public names; the package exports
+# their union, in module order.
 __all__ = [
-    "__version__",
-    # errors
-    "KmiterError",
-    "ConfigError",
-    "ModelMismatchError",
-    "NumericError",
-    "EvaluationError",
-    "ModeOverflowError",
-    "ResonanceError",
-    "DegenerateComplementError",
-    # spectral
-    "Sine1D",
-    "SineRect2D",
-    "CustomBasis",
-    "SpectrumModel",
-    "SpectralVec",
-    "make_sine_spectrum_1d",
-    "make_sine_spectrum_rect",
-    "make_custom_spectrum",
-    "zeros",
-    "unit_mode",
-    "from_coeffs",
-    "scale_weights",
-    "norm_s",
-    "inner",
-    "axpy",
-    "sub",
-    "apply_spectral_function",
-    # problems
-    "Elliptic",
-    "Hyperbolic",
-    "Parabolic",
-    "ProblemSpec",
-    "TrajectoryNormSpec",
-    "elliptic_solution_at",
-    "elliptic_dt_solution_at",
-    "elliptic_trajectory",
-    "hyperbolic_solution_at",
-    "hyperbolic_solution_dt0",
-    "hyperbolic_trajectory",
-    "parabolic_solution_at",
-    "parabolic_backward_trace",
-    "parabolic_trajectory_from_terminal",
-    "trajectory_norm",
-    "IllPosednessRecord",
-    "illposedness_demo",
-    # iterations
-    "IterationFactors",
-    "StoppingRule",
-    "IterationSchedule",
-    "CheckpointRecord",
-    "IterationReport",
-    "ConditionReport",
-    "build_factors",
-    "default_scale",
-    "fixed_point",
-    "iterate_closed_form",
-    "iterate_stepwise",
-    "report_closed_form",
-    "run_schedule",
-    "check_operator_conditions",
-    # regularization
-    "NoiseSpec",
-    "SourceCondition",
-    "RegularizerPlan",
-    "BoundPoint",
-    "CutoffSelection",
-    "add_noise",
-    "smooth",
-    "choose_h",
-    "smoothing_bound",
-    "regularized_fixed_point",
-    "candidate_cutoffs",
-    "error_bound_curve",
-    "select_n_star",
-    "power_source_function",
-    "source_constant",
-    "measure_eps_prime",
-    # gridio
-    "GridFunction",
-    "make_grid_function",
-    "read_grid_csv",
-    "write_grid_csv",
-    "ingest_grid",
-    "render_grid",
-    "synth_data",
-    # bench
-    "ExperimentConfig",
-    "ExperimentResult",
-    "TableResult",
-    "load_config",
-    "run_experiment",
-    "run_convergence_table",
-    "run_decay_table",
-    "run_cutoff_study",
-    "render_report",
-    "render_table",
+    "__version__", *errors.__all__, *spectral.__all__, *problems.__all__, *iterations.__all__,
+    *regularization.__all__, *gridio.__all__, *bench.__all__,
 ]

@@ -80,21 +80,13 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "TableResult",
-    "CutoffStudyResult",
     "load_config",
-    "build_model",
-    "resolve_source",
     "run_experiment",
     "run_convergence_table",
     "run_decay_table",
     "run_cutoff_study",
-    "emit_report",
     "render_report",
-    "report_to_dict",
-    "report_from_dict",
-    "render_rows",
     "render_table",
-    "atomic_write_text",
 ]
 
 FORMATS = ("csv", "json", "markdown")

@@ -80,15 +80,20 @@ def _given(**kwargs) -> dict:
 # default experiment configs
 
 
+def _default_T(kind: str) -> float:
+    """T of ``demo-illposed`` and of the default elliptic and hyperbolic
+    experiments: 1/pi puts the hyperbolic phases lambda_j T at the integers
+    j, well away from the resonant multiples of pi."""
+    return 1.0 / math.pi if kind == "hyperbolic" else 1.0
+
+
 def _default_config(kind: str) -> dict:
     if kind == "parabolic":
         terminal = {"u0": {"generator": "piecewise_profile"}, "T": 0.0625}
         problem = {"T": 0.0625, "gamma": 1.0, "f": {"generator": "parabolic_terminal", **terminal}}
     else:
-        # T = 1/pi puts the hyperbolic phases at lambda_j T = j, integers
-        # staying well away from the resonant multiples of pi.
         problem = {
-            "T": 1.0 / math.pi if kind == "hyperbolic" else 1.0,
+            "T": _default_T(kind),
             "f": {"generator": "zero"},
             "g": {"generator": "unit_mode", "k": 1},
         }
@@ -256,7 +261,7 @@ DEMO_COLUMNS = (
 def _cmd_demo_illposed(args) -> None:
     fmt = args.format or "markdown"
     modes = args.modes if args.modes is not None else 8
-    T = 1.0 / math.pi if args.kind == "hyperbolic" else 1.0
+    T = _default_T(args.kind)
     model = make_sine_spectrum_1d(modes, 1.0)
     # one pass builds only the rows the format prints: cells or JSON records
     rows = (

@@ -8,6 +8,17 @@ separate branches because they map to different process exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "KmiterError",
+    "ConfigError",
+    "ModelMismatchError",
+    "NumericError",
+    "EvaluationError",
+    "ModeOverflowError",
+    "ResonanceError",
+    "DegenerateComplementError",
+]
+
 SHOWN_POSITIONS = 8
 
 

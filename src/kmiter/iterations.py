@@ -49,7 +49,7 @@ from .errors import (
     config_number,
     describe_modes,
 )
-from .problems import Elliptic, Hyperbolic, Parabolic, ProblemSpec, _guard_overflow
+from .problems import Elliptic, Hyperbolic, Parabolic, ProblemSpec, _guard_overflow, _phases
 from .spectral import SpectralVec, SpectrumModel, _l2, _weigher, scale_weights
 
 __all__ = [
@@ -137,7 +137,9 @@ def build_factors(spec: ProblemSpec) -> IterationFactors:
     The hyperbolic z_j = lambda_j sin(lambda_j T) (g_j - cos(lambda_j T) f_j)
     makes the fixed point the initial velocity.  A z that overflows the
     float range raises :class:`~kmiter.errors.ModeOverflowError` naming its
-    modes; every finite z is kept as computed.
+    modes; every finite z is kept as computed.  An elliptic or hyperbolic
+    lambda T past the float max raises :class:`~kmiter.errors.ConfigError`
+    naming its modes.
     """
     model = spec.model
     lam = model.eigenvalues
@@ -147,7 +149,7 @@ def build_factors(spec: ProblemSpec) -> IterationFactors:
     # the products of z may pass the float max; _finite_term refuses them
     if isinstance(spec, Elliptic):
         kind = "elliptic"
-        x = lam * T
+        x = _phases(model, T)
         th = np.tanh(x)
         sech = _sech(x)
         F = th * th
@@ -156,7 +158,7 @@ def build_factors(spec: ProblemSpec) -> IterationFactors:
             z = lam * th * sech * spec.f.coeffs + sech * spec.g.coeffs
     elif isinstance(spec, Hyperbolic):
         kind = "hyperbolic"
-        x = lam * T
+        x = _phases(model, T)
         sn, cs = np.sin(x), np.cos(x)
         F = cs * cs
         comp = sn * sn
@@ -177,20 +179,20 @@ def build_factors(spec: ProblemSpec) -> IterationFactors:
         raise ConfigError(f"unsupported problem type {type(spec).__name__}")
     return IterationFactors(
         kind=kind, factors=F, complements=comp,
-        z=SpectralVec(_finite_term(z), model), T=T, **parabolic,
+        z=SpectralVec(_finite_term(z, "affine term z"), model), T=T, **parabolic,
     )
 
 
-def _finite_term(z: np.ndarray) -> np.ndarray:
-    """z itself, or a ModeOverflowError naming the modes where it is not
+def _finite_term(v: np.ndarray, what: str) -> np.ndarray:
+    """v itself, or a ModeOverflowError naming the modes where it is not
     finite (a product past the float max, or inf - inf)."""
-    bad = np.flatnonzero(~np.isfinite(z))
+    bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise ModeOverflowError(
-            f"affine term z overflows the float range at {describe_modes(bad)}",
+            f"{what} overflows the float range at {describe_modes(bad)}",
             mode_indices=tuple(bad.tolist()),
         )
-    return z
+    return v
 
 
 def default_scale(kind: str) -> float:
@@ -309,7 +311,9 @@ def iterate_closed_form(fac: IterationFactors, phi0: SpectralVec, k: int) -> Spe
 
     Per mode, phi_k = F^k phi0 + (1 - F^k)/(1 - F) z; on modes where the
     complement is exactly zero the geometric factor degenerates to k and the
-    iterate is phi0 + k z, which is the correct limit.
+    iterate is phi0 + k z, which is the correct limit.  An iterate that
+    overflows the float range raises :class:`~kmiter.errors.ModeOverflowError`
+    naming its modes.
     """
     if phi0.model != fac.model:
         raise ConfigError("phi0 must live over the model of the factors")
@@ -324,7 +328,20 @@ def iterate_closed_form(fac: IterationFactors, phi0: SpectralVec, k: int) -> Spe
 
 def _iterate(fac, phi0, k, log_factor, divisor) -> tuple[np.ndarray, np.ndarray]:
     """(F^k, phi_k) for k >= 1 from the per-report :func:`_log_factor` and
-    :func:`_safe_complement`, at O(N) cost and memory."""
+    :func:`_safe_complement`, at O(N) cost and memory.  Only after an
+    overflow is the iterate scanned, and its non-finite modes refused; an
+    inf or NaN in phi0 carries through as IEEE arithmetic has it."""
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            return _affine_power(fac, phi0, k, log_factor, divisor)
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        Fk, phi = _affine_power(fac, phi0, k, log_factor, divisor)
+    return Fk, _finite_term(phi, "iterate")
+
+
+def _affine_power(fac, phi0, k, log_factor, divisor) -> tuple[np.ndarray, np.ndarray]:
     Fk, omFk = _power(*log_factor, k)
     safe, degenerate = divisor
     geom = np.divide(omFk, safe, out=omFk)
@@ -448,6 +465,8 @@ def _error_vs(reference: Optional[SpectralVec]):
     return lambda coeffs: _l2(coeffs - reference.coeffs) / base
 
 
+# an inf or NaN in phi0 makes inf - inf or 0 * inf, which reads NaN as in IEEE
+@np.errstate(invalid="ignore")
 def iterate_stepwise(
     fac: IterationFactors,
     phi0: SpectralVec,
@@ -537,6 +556,8 @@ def iterate_stepwise(
     return _report(fac.kind, s, records, k, stop)
 
 
+# an inf or NaN in phi0 makes inf - inf or 0 * inf, which reads NaN as in IEEE
+@np.errstate(invalid="ignore")
 def report_closed_form(
     fac: IterationFactors,
     phi0: SpectralVec,

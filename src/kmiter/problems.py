@@ -41,8 +41,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "RESONANCE_TOL",
-    "OVERFLOW_LIMIT",
     "Elliptic",
     "Hyperbolic",
     "Parabolic",
@@ -50,12 +48,12 @@ __all__ = [
     "TrajectoryNormSpec",
     "elliptic_solution_at",
     "elliptic_dt_solution_at",
+    "elliptic_trajectory",
     "hyperbolic_solution_at",
     "hyperbolic_solution_dt0",
+    "hyperbolic_trajectory",
     "parabolic_solution_at",
     "parabolic_backward_trace",
-    "elliptic_trajectory",
-    "hyperbolic_trajectory",
     "parabolic_trajectory_from_terminal",
     "trajectory_norm",
     "IllPosednessRecord",
@@ -85,12 +83,42 @@ def _require_T(T: float) -> float:
     return T
 
 
+def _phases(model: SpectrumModel, T: float) -> np.ndarray:
+    """lambda_j T per mode; a ConfigError names the modes past the float max."""
+    lam = model.eigenvalues
+    try:
+        with np.errstate(over="raise"):
+            return lam * T
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(np.isinf(lam * T))
+        raise ConfigError(
+            f"lambda T passes the float max at {describe_modes(bad, lam)} with T = {T!r}"
+        ) from None
+
+
+def _resonance_error(tol: float, bad, eigenvalues: np.ndarray) -> ResonanceError:
+    return ResonanceError(
+        f"|sin(lambda T)| <= {tol:g} at {describe_modes(bad, eigenvalues)}; the problem is "
+        "posed too close to a resonant time",
+        mode_indices=bad,
+    )
+
+
 # ---------------------------------------------------------------------------
 # problem records
 
 
+class _OverDataModel:
+    """A problem lives over the spectrum model of its datum f."""
+
+    @property
+    def model(self) -> SpectrumModel:
+        return self.f.model
+
+
 @dataclasses.dataclass(frozen=True)
-class Elliptic:
+class Elliptic(_OverDataModel):
     """Cauchy problem for (d^2/dt^2 - A^2) u = 0 on (0, T).
 
     ``f`` is u(0) and ``g`` is du/dt(0), both as spectral coefficient
@@ -106,13 +134,9 @@ class Elliptic:
         if self.f.model != self.g.model:
             raise ConfigError("f and g must live over the same spectrum model")
 
-    @property
-    def model(self) -> SpectrumModel:
-        return self.f.model
-
 
 @dataclasses.dataclass(frozen=True)
-class Hyperbolic:
+class Hyperbolic(_OverDataModel):
     """Dirichlet problem for (d^2/dt^2 + A^2) u = 0: u(0) = f, u(T) = g.
 
     Construction fails with :class:`~kmiter.errors.ResonanceError` when some
@@ -129,23 +153,14 @@ class Hyperbolic:
         object.__setattr__(self, "T", _require_T(self.T))
         if self.f.model != self.g.model:
             raise ConfigError("f and g must live over the same spectrum model")
-        sines = np.sin(self.model.eigenvalues * self.T)
+        sines = np.sin(_phases(self.model, self.T))
         bad = np.flatnonzero(np.abs(sines) <= self.resonance_tol)
         if bad.size:
-            raise ResonanceError(
-                f"|sin(lambda T)| <= {self.resonance_tol:g} at "
-                f"{describe_modes(bad, self.model.eigenvalues)}; the problem is "
-                "posed too close to a resonant time",
-                mode_indices=tuple(bad.tolist()),
-            )
-
-    @property
-    def model(self) -> SpectrumModel:
-        return self.f.model
+            raise _resonance_error(self.resonance_tol, bad, self.model.eigenvalues)
 
 
 @dataclasses.dataclass(frozen=True)
-class Parabolic:
+class Parabolic(_OverDataModel):
     """Backward heat problem for (d/dt + A^2) u = 0 with terminal state f.
 
     ``gamma`` weights the reconstruction iteration; validity requires
@@ -171,10 +186,6 @@ class Parabolic:
                 f"2 exp(lambda_min^2 T) = {limit:g}"
             )
         object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def model(self) -> SpectrumModel:
-        return self.f.model
 
 
 ProblemSpec = Elliptic | Hyperbolic | Parabolic
@@ -456,12 +467,7 @@ def illposedness_demo(kind: str, model: SpectrumModel, T: float, k: int) -> IllP
         try:
             prob = Hyperbolic(T=T, f=zero, g=data)
         except ResonanceError:  # named as mode k of ``model``, not of the one-mode model
-            raise ResonanceError(
-                f"|sin(lambda T)| <= {RESONANCE_TOL:g} at "
-                f"{describe_modes([k - 1], model.eigenvalues)}; the problem is "
-                "posed too close to a resonant time",
-                mode_indices=(k - 1,),
-            ) from None
+            raise _resonance_error(RESONANCE_TOL, [k - 1], model.eigenvalues) from None
         traj, which = hyperbolic_trajectory, "Vh"
     else:
         prob, traj, which = Parabolic(T=T, f=data), parabolic_trajectory_from_terminal, "Vp"

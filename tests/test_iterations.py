@@ -156,6 +156,15 @@ class TestBuildFactors:
             assert np.all(fac.factors > -1.0)
 
 
+    def test_elliptic_phase_past_the_float_max_is_refused(self):
+        m = make_custom_spectrum([1.0, 8e307])
+        one = from_coeffs(m, [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"mode positions \[1\] \(eigenvalues \[8e\+307\]\)"):
+                build_factors(Elliptic(T=100.0, f=one, g=one))
+
+
 class TestFixedPoint:
     def test_elliptic_matches_dt_trace(self):
         for k, expected in ((1, oracles.COSH_PI), (2, oracles.COSH_2PI), (3, oracles.COSH_3PI)):
@@ -237,6 +246,39 @@ class TestClosedFormIterate:
         # mode 1 has F exactly 1: phi_k = phi0 + k z
         assert out.coeffs[1] == pytest.approx(7.0 + 10 * 1e-3, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "family, modes",
+        [
+            # (1 - F^k)/(1 - F) g_j passes the float max at modes 2-5
+            ("elliptic", (1, 2, 3, 4)),
+            # gamma f_j summed over 1e9 steps, on every mode
+            ("parabolic", tuple(range(64))),
+        ],
+    )
+    def test_overflowing_iterate_is_refused_with_its_modes(self, family, modes):
+        m = make_sine_spectrum_1d(64, 1.0)
+        big = from_coeffs(m, np.full(64, 1e307))
+        spec = Elliptic(T=1.0, f=zeros(m), g=big) if family == "elliptic" else Parabolic(T=1.0, f=big)
+        fac = build_factors(spec)
+        runs = (
+            lambda: iterate_closed_form(fac, zeros(m), 10**9),
+            lambda: report_closed_form(fac, zeros(m), IterationSchedule(checkpoints=(10**9,))),
+        )
+        for run in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ModeOverflowError, match="iterate overflows") as info:
+                    run()
+            assert info.value.mode_indices == modes
+
+    def test_finite_iterate_past_1e300_is_kept(self):
+        m = make_sine_spectrum_1d(64, 1.0)
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=from_coeffs(m, np.full(64, 1e304))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = iterate_closed_form(fac, zeros(m), 10**9).coeffs
+        assert np.isfinite(phi).all() and phi.max() > 1e307
+
     def test_negative_steps_rejected(self):
         fac = build_factors(elliptic_unit())
         with pytest.raises(ConfigError):
@@ -285,6 +327,32 @@ class TestStepwise:
         phibar = fixed_point(fac)
         expected = (1.0 - fac.factors[0]) * norm_s(phibar, -0.5)
         assert diffs[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_inf_in_phi0_reads_nan_without_a_warning(self):
+        # F = 1.0 on the second mode, so each difference there is inf - inf
+        m = make_custom_spectrum([0.5, 30.0])
+        fac = build_factors(Elliptic(T=1.0, f=zeros(m), g=from_coeffs(m, [1.0, 1.0])))
+        phi0 = from_coeffs(m, [0.0, math.inf])
+        sched = IterationSchedule(checkpoints=(1, 2), mode="stepwise")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = iterate_stepwise(fac, phi0, sched)
+        assert [(r.k, r.successive_diff != r.successive_diff, r.residual != r.residual)
+                for r in got.records] == [(1, True, True), (2, True, True)]
+        with np.errstate(invalid="ignore"):
+            stepwise_reports_identical(got, ref_stepwise(fac, phi0, sched))
+
+    @pytest.mark.parametrize("mode", ["stepwise", "closed_form"])
+    def test_inf_in_phi0_under_a_zero_complement(self, mode):
+        # 1 - F is exactly 0 on the second parabolic mode: 0 * inf there
+        m = make_custom_spectrum([0.5, 30.0])
+        fac = build_factors(Parabolic(T=1.0, f=from_coeffs(m, [1.0, 1.0])))
+        sched = IterationSchedule(checkpoints=(1, 5), mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            last = run_schedule(fac, from_coeffs(m, [math.inf, math.inf]), sched).records[-1]
+        assert last.iterate.coeffs.tolist() == [math.inf, math.inf]
+        assert last.successive_diff != last.successive_diff and last.residual != last.residual
 
     def test_tolerance_stop(self):
         fac = build_factors(elliptic_unit())

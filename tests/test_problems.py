@@ -176,6 +176,15 @@ class TestHyperbolicTraces:
         p = Hyperbolic(T=1.0, f=zeros(m), g=zeros(m), resonance_tol=0.0)
         assert p.T == 1.0
 
+    def test_phase_past_the_float_max_is_refused(self):
+        # lambda T = 8e309 is no phase: refused with the mode, not sin(inf)
+        m = make_custom_spectrum([1.0, 8e307])
+        one = from_coeffs(m, [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"mode positions \[1\] \(eigenvalues \[8e\+307\]\)"):
+                Hyperbolic(T=100.0, f=one, g=one)
+
 
 class TestParabolicTraces:
     def test_zero_initial_state(self):
